@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/forward_kernels.hpp"
 #include "tensor/blas.hpp"
 
 namespace geonas::nn {
@@ -52,39 +53,18 @@ void Dense::bind_workspace(tensor::Arena& arena, std::size_t batch,
 void Dense::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                          bool training) {
   const Tensor3& x = single_input(inputs, "Dense");
-  const std::size_t batch = x.dim0(), steps = x.dim1();
-  if (batch != ws_batch_ || steps != ws_steps_ || x.dim2() != in_) {
-    bind_workspace(self_arena(), batch, steps, x.dim2());
+  if (x.dim0() != ws_batch_ || x.dim1() != ws_steps_ || x.dim2() != in_) {
+    bind_workspace(self_arena(), x.dim0(), x.dim1(), x.dim2());
   }
-  const std::size_t rows = batch * steps;
-
-  // Treat [B,T,F] as (B*T) x F; both tensors are contiguous row-major,
-  // so the whole layer is one GEMM (against the prepacked weight panel,
-  // re-validated per pass) plus a bias broadcast.
   w_pack_.ensure(w_, Trans::kNone);
-  gemm_raw(Trans::kNone, rows, 1.0, x.flat().data(), in_, w_pack_, 0.0,
-           out.flat().data(), out_);
-  if (use_bias_) {
-    const double* bias = b_.flat().data();
-    double* op = out.flat().data();
-    for (std::size_t r = 0; r < rows; ++r) {
-      double* orow = op + r * out_;
-      for (std::size_t j = 0; j < out_; ++j) orow[j] += bias[j];
-    }
-  }
-
-  if (training) input_cache_ = &x;
+  dense_forward(w_pack_, use_bias_ ? b_.flat().data() : nullptr, activation_,
+                x, out,
+                training ? preact_cache_.flat() : std::span<double>{});
+  if (!training) return;
+  input_cache_ = &x;
   if (activation_ != Activation::kIdentity) {
-    if (training) {
-      std::copy(out.flat().begin(), out.flat().end(),
-                preact_cache_.flat().begin());
-    }
-    // Span form dispatches tanh/sigmoid to the tensor::vmath backend.
-    apply_activation(activation_, out.flat());
-    if (training) {
-      std::copy(out.flat().begin(), out.flat().end(),
-                output_cache_.flat().begin());
-    }
+    std::copy(out.flat().begin(), out.flat().end(),
+              output_cache_.flat().begin());
   }
 }
 

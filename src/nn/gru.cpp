@@ -1,6 +1,5 @@
 #include "nn/gru.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -38,16 +37,11 @@ void GRU::bind_workspace(tensor::Arena& arena, std::size_t batch,
                                 std::to_string(in_features) + " != " +
                                 std::to_string(in_));
   }
-  const std::size_t g3 = 3 * units_;
-  const std::size_t rows = batch * steps;
-  x_tm_.bind(arena, rows, in_);
-  gates_.bind(arena, rows, g3);
-  h_seq_.bind(arena, (steps + 1) * batch, units_);
-  rh_.bind(arena, rows, units_);
-  da_.bind(arena, rows, g3);
+  fwd_.bind(arena, batch, steps, in_, units_);
+  da_.bind(arena, batch * steps, 3 * units_);
   dh_.bind(arena, batch, units_);
   drh_.bind(arena, batch, units_);
-  dx_tm_.bind(arena, rows, in_);
+  dx_tm_.bind(arena, batch * steps, in_);
   ws_batch_ = batch;
   ws_steps_ = steps;
 }
@@ -55,59 +49,17 @@ void GRU::bind_workspace(tensor::Arena& arena, std::size_t batch,
 void GRU::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                        bool training) {
   const Tensor3& x = single_input(inputs, "GRU");
-  const std::size_t batch = x.dim0(), steps = x.dim1();
-  if (batch != ws_batch_ || steps != ws_steps_ || x.dim2() != in_) {
-    bind_workspace(self_arena(), batch, steps, x.dim2());
+  if (x.dim0() != ws_batch_ || x.dim1() != ws_steps_ || x.dim2() != in_) {
+    bind_workspace(self_arena(), x.dim0(), x.dim1(), x.dim2());
   }
-  const std::size_t g3 = 3 * units_;
-  const std::size_t rows = batch * steps;
-
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    const double* src = x.flat().data() + bi * steps * in_;
-    for (std::size_t t = 0; t < steps; ++t) {
-      std::copy(src + t * in_, src + (t + 1) * in_,
-                x_tm_.row_span(t * batch + bi).begin());
-    }
-  }
-
   // Weight panels: packed once, re-validated per pass (a version-counter
   // compare unless the optimizer touched the weights since last pack).
   wx_pack_.ensure(wx_, Trans::kNone);
   wh_zr_pack_.ensure_block(wh_, Trans::kNone, 0, 2 * units_);
   wh_h_pack_.ensure_block(wh_, Trans::kNone, 2 * units_, units_);
-
-  // Input projection for the entire sequence in one GEMM, then the bias.
-  gemm_raw(Trans::kNone, rows, 1.0, x_tm_.flat().data(), in_, wx_pack_, 0.0,
-           gates_.flat().data(), g3);
-  const double* bias = b_.flat().data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* arow = gates_.flat().data() + r * g3;
-    for (std::size_t j = 0; j < g3; ++j) arow[j] += bias[j];
-  }
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    double* a = gates_.flat().data() + t * batch * g3;
-    const double* h_prev = h_seq_.flat().data() + t * batch * units_;
-    // z/r recurrent terms see the raw previous state: the [z | r]
-    // column block of Wh, prepacked as its own (units x 2*units) panel.
-    gemm_raw(Trans::kNone, batch, 1.0, h_prev, units_, wh_zr_pack_, 1.0, a,
-             g3);
-    // Fused z/r gate sigmoids + the candidate's recurrent input
-    // r .* h_{t-1} (tensor::vmath).
-    double* rh = rh_.flat().data() + t * batch * units_;
-    tensor::gru_pointwise_zr(batch, units_, a, h_prev, rh);
-    // Candidate recurrent term against the [h] column block of Wh.
-    gemm_raw(Trans::kNone, batch, 1.0, rh, units_, wh_h_pack_, 1.0,
-             a + 2 * units_, g3);
-    // Fused candidate tanh + state blend, scattered straight into the
-    // batch-major output (tensor::vmath).
-    double* h_new = h_seq_.flat().data() + (t + 1) * batch * units_;
-    tensor::gru_pointwise_out(batch, units_, a, h_prev, h_new,
-                              out.flat().data() + t * units_,
-                              steps * units_);
-  }
-
-  (void)training;  // the workspaces double as the BPTT caches
+  gru_forward(wx_pack_, wh_zr_pack_, wh_h_pack_, b_.flat().data(), fwd_, x,
+              out);
+  (void)training;  // the forward scratch doubles as the BPTT cache
 }
 
 void GRU::backward_into(const Tensor3& grad_output,
@@ -135,9 +87,9 @@ void GRU::backward_into(const Tensor3& grad_output,
   double* bg = b_grad_.flat().data();
 
   for (std::size_t t = steps; t-- > 0;) {
-    const double* gates = gates_.flat().data() + t * batch * g3;
-    const double* h_prev = h_seq_.flat().data() + t * batch * units_;
-    const double* rh = rh_.flat().data() + t * batch * units_;
+    const double* gates = fwd_.gates.flat().data() + t * batch * g3;
+    const double* h_prev = fwd_.h_seq.flat().data() + t * batch * units_;
+    const double* rh = fwd_.rh.flat().data() + t * batch * units_;
     double* da = da_.flat().data() + t * batch * g3;
 
     // Through h_new = (1 - z) h_prev + z hh (tensor::vmath): fill the z
@@ -169,19 +121,13 @@ void GRU::backward_into(const Tensor3& grad_output,
 
   // Whole-sequence slab GEMMs: Wx_grad += X^T dA and dX = dA Wx^T.
   gemm_raw(Trans::kTranspose, Trans::kNone, in_, g3, rows, 1.0,
-           x_tm_.flat().data(), in_, da_.flat().data(), g3, 1.0,
+           fwd_.x_tm.flat().data(), in_, da_.flat().data(), g3, 1.0,
            wx_grad_.flat().data(), g3);
   gemm_raw(Trans::kNone, rows, 1.0, da_.flat().data(), g3, wx_t_pack_, 0.0,
            dx_tm_.flat().data(), in_);
 
-  Tensor3& dx = *input_grads[0];
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    double* dst = dx.flat().data() + bi * steps * in_;
-    for (std::size_t t = 0; t < steps; ++t) {
-      const auto src = dx_tm_.row_span(t * batch + bi);
-      std::copy(src.begin(), src.end(), dst + t * in_);
-    }
-  }
+  // Scatter time-major dX back to batch-major [B, T, in].
+  scatter_batch_major(dx_tm_, *input_grads[0]);
 }
 
 void GRU::repack_weights() {

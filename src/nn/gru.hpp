@@ -16,11 +16,13 @@
 // h_{t-1}, the candidate block against r .* h_{t-1}), and
 // whole-sequence slab GEMMs for the Wx/dX gradients in BPTT. The
 // strided gemm_raw interface lets the z/r and candidate column blocks
-// of the fused Wh matrix be updated in place. Workspaces are carved
+// of the fused Wh matrix be updated in place. The forward itself is
+// nn::gru_forward, shared with serve::FrozenPlan. Workspaces are carved
 // from an Arena at bind time: steady-state training performs no
 // allocation (see DESIGN.md, "Memory model").
 #pragma once
 
+#include "nn/forward_kernels.hpp"
 #include "nn/layer.hpp"
 
 namespace geonas::nn {
@@ -70,13 +72,9 @@ class GRU final : public Layer {
   tensor::PackedPanels wh_h_t_pack_;   // op = Wh[:, h]^T
   tensor::PackedPanels wx_t_pack_;     // op = Wx^T
 
-  // Time-major workspaces (row t*batch + b) carved from the bound arena,
-  // reused across calls. Rows [0, B) of h_seq_ are h_0 = 0 — written
-  // only by the bind-time zero fill.
-  tensor::ArenaMatrix x_tm_;   // [T*B, in]
-  tensor::ArenaMatrix gates_;  // [T*B, 3*units] pre-activations, [z, r, hh]
-  tensor::ArenaMatrix h_seq_;  // [(T+1)*B, units]
-  tensor::ArenaMatrix rh_;     // [T*B, units] r_t .* h_{t-1}
+  // Arena workspaces, time-major; the forward scratch doubles as the
+  // BPTT cache between a training forward and its backward.
+  GRUForwardScratch fwd_;
   tensor::ArenaMatrix da_;     // [T*B, 3*units] gate pre-activation grads
   tensor::ArenaMatrix dh_;     // [B, units] running dL/dh_{t-1}
   tensor::ArenaMatrix drh_;    // [B, units] dL/d(r .* h_{t-1})

@@ -1,9 +1,9 @@
 #include "nn/lstm.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/forward_kernels.hpp"
 #include "tensor/blas.hpp"
 #include "tensor/vmath.hpp"
 
@@ -43,16 +43,11 @@ void LSTM::bind_workspace(tensor::Arena& arena, std::size_t batch,
                                 std::to_string(in_features) + " != " +
                                 std::to_string(in_));
   }
-  const std::size_t g4 = 4 * units_;
-  const std::size_t rows = batch * steps;
-  x_tm_.bind(arena, rows, in_);
-  gates_.bind(arena, rows, g4);
-  h_seq_.bind(arena, (steps + 1) * batch, units_);
-  c_seq_.bind(arena, (steps + 1) * batch, units_);
-  dz_.bind(arena, rows, g4);
+  fwd_.bind(arena, batch, steps, in_, units_);
+  dz_.bind(arena, batch * steps, 4 * units_);
   dh_.bind(arena, batch, units_);
   dc_.bind(arena, batch, units_);
-  dx_tm_.bind(arena, rows, in_);
+  dx_tm_.bind(arena, batch * steps, in_);
   ws_batch_ = batch;
   ws_steps_ = steps;
 }
@@ -60,54 +55,15 @@ void LSTM::bind_workspace(tensor::Arena& arena, std::size_t batch,
 void LSTM::forward_into(std::span<const Tensor3* const> inputs, Tensor3& out,
                         bool training) {
   const Tensor3& x = single_input(inputs, "LSTM");
-  const std::size_t batch = x.dim0(), steps = x.dim1();
-  if (batch != ws_batch_ || steps != ws_steps_ || x.dim2() != in_) {
-    bind_workspace(self_arena(), batch, steps, x.dim2());
+  if (x.dim0() != ws_batch_ || x.dim1() != ws_steps_ || x.dim2() != in_) {
+    bind_workspace(self_arena(), x.dim0(), x.dim1(), x.dim2());
   }
-  const std::size_t g4 = 4 * units_;
-  const std::size_t rows = batch * steps;
-
-  // Gather the batch-major input into time-major rows t*B + b so each
-  // timestep's slab is contiguous.
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    const double* src = x.flat().data() + bi * steps * in_;
-    for (std::size_t t = 0; t < steps; ++t) {
-      std::copy(src + t * in_, src + (t + 1) * in_,
-                x_tm_.row_span(t * batch + bi).begin());
-    }
-  }
-
   // Weight panels: packed once, re-validated per pass (a version-counter
   // compare unless the optimizer touched the weights since last pack).
   wx_pack_.ensure(wx_, Trans::kNone);
   wh_pack_.ensure(wh_, Trans::kNone);
-
-  // Input projection for the entire sequence in one GEMM, then the bias.
-  gemm_raw(Trans::kNone, rows, 1.0, x_tm_.flat().data(), in_, wx_pack_, 0.0,
-           gates_.flat().data(), g4);
-  const double* bias = b_.flat().data();
-  for (std::size_t r = 0; r < rows; ++r) {
-    double* zrow = gates_.flat().data() + r * g4;
-    for (std::size_t j = 0; j < g4; ++j) zrow[j] += bias[j];
-  }
-
-  for (std::size_t t = 0; t < steps; ++t) {
-    // z_t += h_{t-1} Wh: one (B, units) x (units, 4*units) GEMM.
-    double* z = gates_.flat().data() + t * batch * g4;
-    const double* h_prev = h_seq_.flat().data() + t * batch * units_;
-    gemm_raw(Trans::kNone, batch, 1.0, h_prev, units_, wh_pack_, 1.0, z, g4);
-    // Fused gate nonlinearities + state update (tensor::vmath); gates_
-    // holds post-activation values afterwards (what BPTT needs), and the
-    // hidden state is scattered straight into the batch-major output.
-    const double* c_prev = c_seq_.flat().data() + t * batch * units_;
-    double* c_new = c_seq_.flat().data() + (t + 1) * batch * units_;
-    double* h_new = h_seq_.flat().data() + (t + 1) * batch * units_;
-    tensor::lstm_pointwise_forward(batch, units_, z, c_prev, c_new, h_new,
-                                   out.flat().data() + t * units_,
-                                   steps * units_);
-  }
-
-  (void)training;  // the workspaces double as the BPTT caches
+  lstm_forward(wx_pack_, wh_pack_, b_.flat().data(), fwd_, x, out);
+  (void)training;  // the forward scratch doubles as the BPTT cache
 }
 
 void LSTM::backward_into(const Tensor3& grad_output,
@@ -134,10 +90,10 @@ void LSTM::backward_into(const Tensor3& grad_output,
   double* bg = b_grad_.flat().data();
 
   for (std::size_t t = steps; t-- > 0;) {
-    const double* gates = gates_.flat().data() + t * batch * g4;
-    const double* c_new = c_seq_.flat().data() + (t + 1) * batch * units_;
-    const double* c_prev = c_seq_.flat().data() + t * batch * units_;
-    const double* h_prev = h_seq_.flat().data() + t * batch * units_;
+    const double* gates = fwd_.gates.flat().data() + t * batch * g4;
+    const double* c_new = fwd_.c_seq.flat().data() + (t + 1) * batch * units_;
+    const double* c_prev = fwd_.c_seq.flat().data() + t * batch * units_;
+    const double* h_prev = fwd_.h_seq.flat().data() + t * batch * units_;
     double* dz = dz_.flat().data() + t * batch * g4;
 
     // Fused elementwise gate backward for the whole timestep slab
@@ -158,20 +114,13 @@ void LSTM::backward_into(const Tensor3& grad_output,
 
   // Whole-sequence slab GEMMs: Wx_grad += X^T dZ and dX = dZ Wx^T.
   gemm_raw(Trans::kTranspose, Trans::kNone, in_, g4, rows, 1.0,
-           x_tm_.flat().data(), in_, dz_.flat().data(), g4, 1.0,
+           fwd_.x_tm.flat().data(), in_, dz_.flat().data(), g4, 1.0,
            wx_grad_.flat().data(), g4);
   gemm_raw(Trans::kNone, rows, 1.0, dz_.flat().data(), g4, wx_t_pack_, 0.0,
            dx_tm_.flat().data(), in_);
 
   // Scatter time-major dX back to batch-major [B, T, in].
-  Tensor3& dx = *input_grads[0];
-  for (std::size_t bi = 0; bi < batch; ++bi) {
-    double* dst = dx.flat().data() + bi * steps * in_;
-    for (std::size_t t = 0; t < steps; ++t) {
-      const auto src = dx_tm_.row_span(t * batch + bi);
-      std::copy(src.begin(), src.end(), dst + t * in_);
-    }
-  }
+  scatter_batch_major(dx_tm_, *input_grads[0]);
 }
 
 void LSTM::repack_weights() {

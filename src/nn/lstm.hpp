@@ -12,11 +12,13 @@
 // GEMM over the whole (batch * steps) slab, each timestep's recurrent
 // update H_{t-1} * Wh is one (batch, units) x (units, 4 * units) GEMM,
 // and BPTT accumulates the Wx/dX gradients with single whole-sequence
-// slab GEMMs (see DESIGN.md, "Kernel layer"). The workspaces are carved
-// from an Arena at bind time, so steady-state training performs no
-// allocation at all.
+// slab GEMMs (see DESIGN.md, "Kernel layer"). The forward itself is
+// nn::lstm_forward, shared with serve::FrozenPlan. The workspaces are
+// carved from an Arena at bind time, so steady-state training performs
+// no allocation at all.
 #pragma once
 
+#include "nn/forward_kernels.hpp"
 #include "nn/layer.hpp"
 
 namespace geonas::nn {
@@ -66,14 +68,9 @@ class LSTM final : public Layer {
   tensor::PackedPanels wh_t_pack_;  // op = Wh^T
   tensor::PackedPanels wx_t_pack_;  // op = Wx^T
 
-  // Time-major workspaces carved from the bound arena, valid between a
-  // training forward and its backward; any forward (training or not)
-  // reuses and overwrites them. Rows [0, B) of h_seq_/c_seq_ are the
-  // zero initial state — written only by the bind-time zero fill.
-  tensor::ArenaMatrix x_tm_;   // [T*B, in] time-major input copy
-  tensor::ArenaMatrix gates_;  // [T*B, 4*units] pre-activations, then gates
-  tensor::ArenaMatrix h_seq_;  // [(T+1)*B, units]
-  tensor::ArenaMatrix c_seq_;  // [(T+1)*B, units]
+  // Arena workspaces, time-major; the forward scratch doubles as the
+  // BPTT cache between a training forward and its backward.
+  LSTMForwardScratch fwd_;
   tensor::ArenaMatrix dz_;     // [T*B, 4*units] gate pre-activation grads
   tensor::ArenaMatrix dh_;     // [B, units] running dL/dh_{t-1}
   tensor::ArenaMatrix dc_;     // [B, units] running dL/dc_{t-1}

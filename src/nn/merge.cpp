@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "nn/activations.hpp"
+#include "nn/forward_kernels.hpp"
 
 namespace geonas::nn {
 
@@ -26,28 +27,18 @@ void AddMerge::forward_into(std::span<const Tensor3* const> inputs,
     throw std::invalid_argument("AddMerge: wrong number of inputs");
   }
   const Tensor3& first = *inputs[0];
+  for (const Tensor3* in : inputs.subspan(1)) {
+    if (in->dim0() != first.dim0() || in->dim1() != first.dim1() ||
+        in->dim2() != first.dim2()) {
+      throw std::invalid_argument("AddMerge: input shape mismatch");
+    }
+  }
   if (first.dim0() != ws_batch_ || first.dim1() != ws_steps_ ||
       first.dim2() != ws_features_) {
     bind_workspace(self_arena(), first.dim0(), first.dim1(), first.dim2());
   }
-  std::copy(first.flat().begin(), first.flat().end(), out.flat().begin());
-  for (std::size_t i = 1; i < inputs.size(); ++i) {
-    const Tensor3& in = *inputs[i];
-    if (in.dim0() != first.dim0() || in.dim1() != first.dim1() ||
-        in.dim2() != first.dim2()) {
-      throw std::invalid_argument("AddMerge: input shape mismatch");
-    }
-    auto of = out.flat();
-    const auto inf = in.flat();
-    for (std::size_t k = 0; k < of.size(); ++k) of[k] += inf[k];
-  }
-  if (relu_) {
-    if (training) {
-      std::copy(out.flat().begin(), out.flat().end(),
-                sum_cache_.flat().begin());
-    }
-    apply_activation(Activation::kReLU, out.flat());
-  }
+  add_merge_forward(inputs, relu_, out,
+                    training ? sum_cache_.flat() : std::span<double>{});
 }
 
 void AddMerge::backward_into(const Tensor3& grad_output,

@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -41,6 +42,7 @@ ServeEngine::ServeEngine(FrozenPlan plan, ServeConfig config)
     reg->counter("serve.requests");
     reg->counter("serve.batches");
     reg->counter("serve.rejected");
+    reg->counter("serve.failed");
     reg->histogram("serve.queue_wait_seconds");
     reg->histogram("serve.batch_size");
     reg->histogram("serve.e2e_seconds");
@@ -150,25 +152,39 @@ void ServeEngine::run_batch(Stream& stream, std::vector<Request>& batch) {
   const std::size_t b = batch.size();
   const double batch_start = obs::monotonic_seconds();
 
-  stream.batch_input.ensure_shape(b, steps_, in_features_);
-  double* gathered = stream.batch_input.flat().data();
-  const std::size_t window_len = steps_ * in_features_;
-  for (std::size_t i = 0; i < b; ++i) {
-    std::copy(batch[i].input.begin(), batch[i].input.end(),
-              gathered + i * window_len);
-  }
+  // A throw from the plan or from building a Forecast fails only the
+  // requests not yet answered; the stream itself keeps serving.
+  std::size_t answered = 0;
+  try {
+    stream.batch_input.ensure_shape(b, steps_, in_features_);
+    double* gathered = stream.batch_input.flat().data();
+    const std::size_t window_len = steps_ * in_features_;
+    for (std::size_t i = 0; i < b; ++i) {
+      std::copy(batch[i].input.begin(), batch[i].input.end(),
+                gathered + i * window_len);
+    }
 
-  const Tensor3* out = nullptr;
-  {
-    hpc::ScopedPoolShard bind(stream.shard);
-    out = &stream.plan.run(stream.batch_input);
-  }
+    const Tensor3* out = nullptr;
+    {
+      hpc::ScopedPoolShard bind(stream.shard);
+      out = &stream.plan.run(stream.batch_input);
+    }
 
-  const std::size_t forecast_len = steps_ * out_features_;
-  const double* results = out->flat().data();
-  for (std::size_t i = 0; i < b; ++i) {
-    batch[i].promise.set_value(Forecast(results + i * forecast_len,
-                                        results + (i + 1) * forecast_len));
+    const std::size_t forecast_len = steps_ * out_features_;
+    const double* results = out->flat().data();
+    for (; answered < b; ++answered) {
+      const double* row = results + answered * forecast_len;
+      batch[answered].promise.set_value(Forecast(row, row + forecast_len));
+    }
+  } catch (...) {
+    const std::exception_ptr error = std::current_exception();
+    for (std::size_t i = answered; i < b; ++i) {
+      batch[i].promise.set_exception(error);
+    }
+    if (obs::MetricsRegistry* reg = obs::registry()) {
+      reg->counter("serve.failed").add(b - answered);
+    }
+    return;
   }
 
   // Metrics after fulfillment, outside mutex_ (leaf-lock discipline:

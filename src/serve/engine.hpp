@@ -22,8 +22,8 @@
 //
 // Telemetry (when an obs registry is installed): serve.queue_wait_seconds,
 // serve.batch_size and serve.e2e_seconds histograms plus serve.requests /
-// serve.batches / serve.rejected counters, exported through
-// telemetry.json like every other subsystem.
+// serve.batches / serve.rejected / serve.failed counters, exported
+// through telemetry.json like every other subsystem.
 #pragma once
 
 #include <condition_variable>
@@ -81,7 +81,8 @@ class ServeEngine {
   /// Stops accepting new requests, lets the streams drain everything
   /// already accepted, and joins them. Idempotent; the destructor calls
   /// it. No request is ever dropped or answered twice: a request is
-  /// either rejected at submit() or fulfilled exactly once.
+  /// either rejected at submit() or fulfilled exactly once (with its
+  /// forecast, or with the error that failed its batch).
   void shutdown() GEONAS_EXCLUDES(mutex_);
 
   [[nodiscard]] std::size_t streams() const noexcept {
@@ -115,7 +116,9 @@ class ServeEngine {
 
   void stream_loop(Stream& stream) GEONAS_EXCLUDES(mutex_);
   /// Runs one coalesced batch outside the lock: gather, plan run,
-  /// scatter, promise fulfillment, metrics.
+  /// scatter, promise fulfillment, metrics. Never throws: a failure
+  /// reaches the batch's unanswered requests through their futures
+  /// (counted in serve.failed) and the stream goes on serving.
   void run_batch(Stream& stream, std::vector<Request>& batch);
 
   const std::size_t steps_;

@@ -1,44 +1,47 @@
 // FrozenPlan: a trained GraphNetwork lowered to a forward-only
 // execution plan for serving.
 //
-// The freeze-then-infer split (RoseNNa / CodeJeNN, PAPERS.md): training
-// and inference want different executors. GraphNetwork carries gradient
-// matrices, backward workspaces and rebind machinery; a serving stream
-// needs none of it. compile() walks the trained graph's topological node
-// schedule once and emits a flat op list (LSTM / GRU / Dense / AddMerge
-// / Identity — Dropout lowers to Identity at inference) whose execution
-// replays the layers' exact forward kernel sequences: the same gemm_raw
-// calls, the same fused tensor::vmath pointwise kernels, the same loop
-// order. That makes a FrozenPlan's output BITWISE identical to
-// GraphNetwork::forward for the same weights (tests/serve_plan_test.cpp
-// pins this at kernel_threads 1/2/8 and across batch sizes).
+// The freeze-then-infer split (RoseNNa / CodeJeNN, PAPERS.md): a
+// different container for the same math, not a second copy of it.
+// GraphNetwork carries gradient matrices, backward workspaces and
+// rebind machinery; a serving stream needs none of it. compile() walks
+// the trained graph's topological node schedule once and emits a flat
+// op list (LSTM / GRU / Dense / merge — AddMerge, with Identity and
+// Dropout lowered to a one-input merge, i.e. a copy), and run() calls
+// the layers' forward kernels (nn/forward_kernels.hpp): the functions
+// LSTM/GRU/Dense/AddMerge::forward_into call themselves. A FrozenPlan's
+// output is therefore BITWISE identical to GraphNetwork::forward for
+// the same weights by construction (tests/serve_plan_test.cpp pins it
+// at kernel_threads 1/2/8 and across batch sizes).
 //
-// Memory model: one tensor::Arena per plan. Workspaces are carved once
-// at construction for the plan's capacity (max_batch x steps) and runs
-// at any batch b <= max_batch reuse them — run() performs zero heap
-// allocation (lint rule hot-path-alloc covers this file). Only the
-// forward workspaces exist: the backward scratch a training layer binds
-// (dz/dh/dc/dx for LSTM, da/dh/drh/dx for GRU, activation caches for
-// Dense) is never carved, so a plan's working set is roughly half a
-// bound training graph's.
+// Memory model: one tensor::Arena per plan. The recurrent ops' forward
+// scratch is carved once at construction for the plan's capacity
+// (max_batch x steps) and runs at any batch b <= max_batch reuse it —
+// run() performs zero heap allocation (lint rule hot-path-alloc covers
+// this file). Only forward scratch exists: the backward scratch a
+// training layer binds (dz/dh/dc/dx for LSTM, da/dh/drh/dx for GRU,
+// activation caches for Dense) is never carved, so a plan's working set
+// is roughly half a bound training graph's.
 //
 // Weights are copied out of the source network once and shared
 // read-only (shared_ptr) across stream clones: clone_stream() gives a
-// serving stream its own workspaces and activation buffers — layer
-// forwards mutate internal state, so streams must not share them — at
-// the cost of only the arena, not another weight copy. compile() also
-// packs every weight GEMM operand into tensor::PackedPanels exactly
-// once at freeze time; run() consumes only the packed panels (plus the
-// raw bias rows, which feed broadcasts, not GEMMs), never a raw weight
-// pointer, and the pack pool is shared across clones like the weights.
+// serving stream its own scratch and activation buffers — forwards
+// mutate them, so streams must not share them — at the cost of only the
+// arena, not another weight copy. compile() also packs every weight
+// GEMM operand into tensor::PackedPanels exactly once at freeze time;
+// run() hands the kernels only the packed panels (plus the raw bias
+// rows, which feed broadcasts, not GEMMs), and the pack pool is shared
+// across clones like the weights.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "nn/activations.hpp"
+#include "nn/forward_kernels.hpp"
 #include "nn/graph.hpp"
 #include "tensor/arena.hpp"
 #include "tensor/matrix.hpp"
@@ -81,7 +84,7 @@ class FrozenPlan {
     return out_features_;
   }
   [[nodiscard]] std::size_t op_count() const noexcept { return ops_.size(); }
-  /// Bytes of forward workspace carved from the plan's arena.
+  /// Bytes of forward scratch carved from the plan's arena.
   [[nodiscard]] std::size_t workspace_bytes() const noexcept {
     return arena_->bytes_in_use();
   }
@@ -89,50 +92,42 @@ class FrozenPlan {
   [[nodiscard]] std::string describe() const;
 
  private:
-  enum class OpKind { kLSTM, kGRU, kDense, kAddMerge, kIdentity };
+  /// Identity and Dropout lower to a one-input kMerge without ReLU.
+  enum class OpKind { kLSTM, kGRU, kDense, kMerge };
+  static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  /// One lowered node. Weight slots index into the shared weight pool;
-  /// workspace views are carved from the owning plan's arena at capacity
-  /// (max_batch) and indexed with the runtime batch inside run().
+  /// One lowered node. Slots index the shared weight and pack pools; the
+  /// forward scratch is carved from the owning plan's arena at capacity
+  /// (max_batch) and used at the runtime batch inside run().
   struct Op {
-    OpKind kind = OpKind::kIdentity;
-    std::size_t node = 0;               // output buffer id
-    std::vector<std::size_t> inputs;    // source node ids (0 = external)
+    OpKind kind = OpKind::kMerge;
+    std::string name;                     // source layer's name()
+    std::size_t node = 0;                 // output buffer id
+    std::vector<std::size_t> inputs;      // source node ids (0 = external)
+    std::vector<const Tensor3*> in_ptrs;  // run()'s views of `inputs`
+    // Widths pinned by LSTM/GRU/Dense (0 for merges, whose widths come
+    // from the feature-width fixpoint).
     std::size_t in_features = 0;
-    std::size_t out_features = 0;       // == units for LSTM/GRU
-    // Dense
-    nn::Activation activation = nn::Activation::kIdentity;
-    bool use_bias = false;
-    // AddMerge
-    bool relu = false;
-    // Weight slots: {wx, wh, b} for LSTM/GRU, {w, b?} for Dense.
-    std::size_t w0 = 0, w1 = 0, w2 = 0;
-    // Prepacked-panel slots into the shared pack pool: {wx, wh} for
-    // LSTM, {wx, wh[:,0:2u), wh[:,2u:3u)} for GRU, {w} for Dense.
-    std::size_t p0 = 0, p1 = 0, p2 = 0;
-    // Forward workspaces (layouts mirror the training layers).
-    tensor::ArenaMatrix x_tm;   // [T*B, in]
-    tensor::ArenaMatrix gates;  // [T*B, 4u] (LSTM) / [T*B, 3u] (GRU)
-    tensor::ArenaMatrix h_seq;  // [(T+1)*B, u]
-    tensor::ArenaMatrix c_seq;  // [(T+1)*B, u] (LSTM only)
-    tensor::ArenaMatrix rh;     // [T*B, u] (GRU only)
+    std::size_t out_features = 0;
+    nn::Activation activation = nn::Activation::kIdentity;  // Dense
+    bool relu = false;                                      // merge
+    std::size_t bias = kNoSlot;  // weight-pool slot of the bias row
+    // Pack-pool slots in kernel argument order: {wx, wh} for LSTM,
+    // {wx, wh[:,0:2u), wh[:,2u:3u)} for GRU, {w} for Dense.
+    std::array<std::size_t, 3> packs{};
+    nn::LSTMForwardScratch lstm;
+    nn::GRUForwardScratch gru;
   };
 
   FrozenPlan() = default;
 
-  /// Carves every op's workspaces from a fresh arena and sizes the
+  /// Carves every op's forward scratch from a fresh arena and sizes the
   /// activation buffers at capacity (cold path: construction/clone).
   void bind_workspaces();
 
-  void run_lstm(Op& op, const Tensor3& x, Tensor3& out, std::size_t batch);
-  void run_gru(Op& op, const Tensor3& x, Tensor3& out, std::size_t batch);
-  void run_dense(const Op& op, const Tensor3& x, Tensor3& out,
-                 std::size_t batch);
-
-  std::shared_ptr<const std::vector<Matrix>> weights_;
+  std::shared_ptr<const std::deque<Matrix>> weights_;
   // Panels packed once at compile() from the frozen weight pool; the
-  // pool above is immutable afterwards, so the packs can never go stale
-  // (run_* pins this with PackedPanels::assert_fresh in debug builds).
+  // pool above is immutable afterwards, so the packs can never go stale.
   std::shared_ptr<const std::vector<tensor::PackedPanels>> packs_;
   std::vector<Op> ops_;
   std::vector<std::size_t> node_features_;  // indexed by node id

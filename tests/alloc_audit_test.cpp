@@ -15,8 +15,10 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <new>
 #include <vector>
@@ -33,6 +35,8 @@
 #include "nn/optimizer.hpp"
 #include "obs/metrics.hpp"
 #include "searchspace/architecture.hpp"
+#include "serve/engine.hpp"
+#include "serve/frozen_plan.hpp"
 #include "tensor/random.hpp"
 
 #ifndef GEONAS_SANITIZE_BUILD
@@ -42,8 +46,16 @@ namespace {
 // counted allocations are same-thread; the flag flips only outside them.
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_alloc_count{0};
+// One-shot fault injection: the next allocation of exactly this many
+// bytes throws std::bad_alloc and disarms the switch (0 = disarmed).
+std::atomic<std::size_t> g_fail_alloc_bytes{0};
 
 void* counted_alloc(std::size_t size) {
+  std::size_t armed = g_fail_alloc_bytes.load(std::memory_order_relaxed);
+  if (armed != 0 && size == armed &&
+      g_fail_alloc_bytes.compare_exchange_strong(armed, 0)) {
+    throw std::bad_alloc();
+  }
   if (g_counting.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   }
@@ -293,6 +305,67 @@ TEST(AllocAudit, MemoizedReEvaluationIsHeapFree) {
   EXPECT_DOUBLE_EQ(reward_sink, 5.0);
   EXPECT_EQ(memo.hits(), 11u);
   EXPECT_EQ(memo.misses(), 1u);
+#endif
+}
+
+TEST(AllocAudit, ServeBatchFailureReachesCallersAndStreamSurvives) {
+#ifdef GEONAS_SANITIZE_BUILD
+  GTEST_SKIP() << "allocator overrides disabled under sanitizers";
+#else
+  obs::set_registry(nullptr);
+  // Distinct window and forecast sizes (27 vs 45 doubles), so the
+  // injected fault hits the Forecast built for the first answer of the
+  // batch and nothing else on the submit or serving path.
+  constexpr std::size_t kSteps = 9, kIn = 3, kOut = 5, kBatch = 3;
+  nn::GraphNetwork net;
+  const std::size_t lstm =
+      net.add_node(std::make_unique<nn::LSTM>(kIn, 8), {0});
+  net.add_node(std::make_unique<nn::Dense>(8, kOut), {lstm});
+  net.init_params(13);
+  serve::FrozenPlan reference = serve::FrozenPlan::compile(net, kSteps, kBatch);
+  // One stream and a long coalescing delay: each batch runs only once
+  // it holds kBatch requests.
+  serve::ServeEngine engine(
+      reference.clone_stream(),
+      {.streams = 1, .max_delay_seconds = 60.0, .queue_capacity = 16});
+
+  Rng rng(29);
+  std::vector<Tensor3> windows;
+  for (std::size_t i = 0; i < 2 * kBatch; ++i) {
+    windows.emplace_back(1, kSteps, kIn);
+    for (double& v : windows.back().flat()) v = rng.uniform(-1.0, 1.0);
+  }
+  const auto submit_batch = [&](std::size_t first) {
+    std::vector<std::future<serve::Forecast>> futures;
+    for (std::size_t i = first; i < first + kBatch; ++i) {
+      futures.push_back(engine.submit(windows[i].flat()));
+    }
+    return futures;
+  };
+  // Bounded wait: a dead stream must fail the test, not hang it.
+  const auto ready = [](std::future<serve::Forecast>& f) {
+    return f.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  };
+
+  g_fail_alloc_bytes.store(kSteps * kOut * sizeof(double));
+  for (auto& f : submit_batch(0)) {
+    ASSERT_TRUE(ready(f));
+    EXPECT_THROW(f.get(), std::bad_alloc);
+  }
+  EXPECT_EQ(g_fail_alloc_bytes.load(), 0u) << "the fault never fired";
+
+  // The stream survived the failed batch: the next one is answered,
+  // bitwise equal to the plan it serves.
+  auto answered = submit_batch(kBatch);
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    ASSERT_TRUE(ready(answered[i])) << "the serving stream died";
+    const serve::Forecast got = answered[i].get();
+    const auto expected = reference.run(windows[kBatch + i]).flat();
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      ASSERT_EQ(got[k], expected[k]) << "forecast " << i << " index " << k;
+    }
+  }
 #endif
 }
 

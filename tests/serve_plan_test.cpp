@@ -80,13 +80,15 @@ TEST(ServePlan, BitwiseMatchesForwardAcrossKernelThreads) {
   const std::size_t before = hpc::kernel_threads();
   for (const std::size_t threads : {1u, 2u, 8u}) {
     hpc::set_kernel_threads(threads);
-    nn::GraphNetwork net = stacked_lstm();
-    FrozenPlan plan = FrozenPlan::compile(net, kSteps, 8);
-    Rng rng(71);
-    for (const std::size_t batch : {1u, 3u, 8u}) {
-      const Tensor3 x = random_input(batch, rng);
-      const Tensor3 expected = net.forward(x);
-      expect_bitwise_equal(plan.run(x), expected);
+    for (nn::GraphNetwork (*make)() : {stacked_lstm, residual_mixed}) {
+      nn::GraphNetwork net = make();
+      FrozenPlan plan = FrozenPlan::compile(net, kSteps, 8);
+      Rng rng(71);
+      for (const std::size_t batch : {1u, 3u, 8u}) {
+        const Tensor3 x = random_input(batch, rng);
+        const Tensor3 expected = net.forward(x);
+        expect_bitwise_equal(plan.run(x), expected);
+      }
     }
   }
   hpc::set_kernel_threads(before);
@@ -233,6 +235,7 @@ TEST(ServePlan, DescribeNamesOpsAndOutput) {
   const std::string desc = plan.describe();
   EXPECT_NE(desc.find("LSTM(16)"), std::string::npos);
   EXPECT_NE(desc.find("GRU(12)"), std::string::npos);
+  EXPECT_NE(desc.find("Dense(5)[tanh]"), std::string::npos);
   EXPECT_NE(desc.find("[output]"), std::string::npos);
   EXPECT_EQ(plan.op_count(), net.node_count() - 1);
 }

@@ -59,6 +59,15 @@ Rules (see DESIGN.md "Correctness tooling"):
                        Cold-path code (constructors, (de)serialization)
                        carries reasoned suppressions.
 
+  forward-math-outside-nn
+                       gemm_raw or tensor::*_pointwise_* calls under
+                       src/serve/. Each layer's forward math exists once,
+                       in src/nn/forward_kernels.cpp, and the serving plan
+                       calls those kernels; a GEMM or fused pointwise call
+                       in the serving layer is a second copy of the math
+                       that the bitwise train/serve equality would then
+                       rest on tests to keep in step.
+
   mutex-needs-annotation
                        A mutex-family member (std::mutex, std::shared_mutex,
                        core::Mutex, ...) or condition_variable declared in
@@ -130,6 +139,7 @@ HOT_PATH_FILES = {
     "src/nn/lstm.cpp",
     "src/nn/gru.cpp",
     "src/nn/dense.cpp",
+    "src/nn/forward_kernels.cpp",
     "src/nn/merge.cpp",
     "src/nn/dropout.cpp",
     "src/serve/frozen_plan.cpp",
@@ -137,6 +147,10 @@ HOT_PATH_FILES = {
 HOT_PATH_ALLOC_RE = re.compile(
     r"\bnew\b|\bmalloc\s*\("
     r"|\.(?:push_back|emplace_back|resize|reserve|assign)\s*\(")
+# The layers' forward math (nn/forward_kernels.cpp) called from src/serve/
+# instead of through the kernels: a GEMM or a fused vmath pointwise kernel.
+FORWARD_MATH_RE = re.compile(
+    r"\bgemm_raw\s*\(|(?:\btensor::)?\b\w*_pointwise_\w*\s*\(")
 CHRONO_RE = re.compile(r"std::chrono\b|#\s*include\s*<chrono>")
 # BSD socket surface: headers plus the global-namespace syscalls. The ::
 # prefix keeps method calls like conn.bind(...) from matching.
@@ -294,6 +308,7 @@ def lint_file(path: Path, repo: Path) -> list[Finding]:
     in_net = rel_str.startswith("src/hpc/net/")
     in_obs = rel_str.startswith("src/obs/")
     in_nn = rel_str.startswith("src/nn/")
+    in_serve = rel_str.startswith("src/serve/")
     is_reporting = rel_str.startswith("src/core/reporting.")
 
     raw_text = path.read_text(encoding="utf-8")
@@ -406,6 +421,14 @@ def lint_file(path: Path, repo: Path) -> list[Finding]:
                        "unit — carve scratch from the bound Arena "
                        "workspace, or suppress with a reason if this is "
                        "provably cold (bind/serialize/ctor)")
+
+        if in_serve:
+            m = FORWARD_MATH_RE.search(code)
+            if m:
+                report("forward-math-outside-nn",
+                       f"'{m.group(0).strip()}' in src/serve/ — call the "
+                       "layers' forward kernels (nn/forward_kernels.hpp) "
+                       "instead of re-implementing their math")
 
         if in_nn:
             m = TRANSCENDENTAL_RE.search(code)
