@@ -6,8 +6,25 @@
 
 #include "nn/loss.hpp"
 #include "nn/trainer.hpp"
+#include "obs/metrics.hpp"
 
 namespace geonas::core {
+
+namespace {
+
+/// Columns [c0, c0 + n) of `left` followed by every column of `right`.
+Matrix join_cols(const Matrix& left, std::size_t c0, std::size_t n,
+                 const Matrix& right) {
+  Matrix out(left.rows(), n + right.cols());
+  for (std::size_t r = 0; r < out.rows(); ++r) {
+    const auto dst = out.row_span(r);
+    std::ranges::copy(left.row_span(r).subspan(c0, n), dst.begin());
+    std::ranges::copy(right.row_span(r), dst.subspan(n).begin());
+  }
+  return out;
+}
+
+}  // namespace
 
 PODLSTMPipeline::PODLSTMPipeline(PipelineConfig config)
     : cfg_(config),
@@ -16,22 +33,42 @@ PODLSTMPipeline::PODLSTMPipeline(PipelineConfig config)
 
 void PODLSTMPipeline::prepare() {
   const auto& setup = cfg_.setup;
+  obs::MetricsRegistry* const reg = obs::registry();
+  const obs::ScopedTimer prepare_span(reg, "pipeline.prepare");
 
   // Fit POD on training-period snapshots only (paper: 1981-1989); the
   // basis and temporal mean are then reused for the test period.
-  const Matrix train_snaps = sst_.snapshots(mask_, 0, setup.train_snapshots);
-  pod_.fit(train_snaps, {.num_modes = setup.num_modes, .subtract_mean = true});
+  Matrix train_snaps;
+  {
+    const obs::ScopedTimer span(reg, "pipeline.generate");
+    train_snaps = sst_.snapshots(mask_, 0, setup.train_snapshots);
+  }
+  {
+    const obs::ScopedTimer span(reg, "pipeline.pod_fit");
+    pod_.fit(train_snaps,
+             {.num_modes = setup.num_modes, .subtract_mean = true});
+  }
 
   // Project the full record in chunks so the full-scale grid never holds
-  // all 1,914 snapshots at once.
+  // all 1,914 snapshots at once. Every week is generated once: a chunk's
+  // training-period columns come from train_snaps, the rest are new.
   coeffs_.resize(setup.num_modes, setup.total_snapshots);
   constexpr std::size_t kChunk = 64;
   for (std::size_t w0 = 0; w0 < setup.total_snapshots; w0 += kChunk) {
     const std::size_t count = std::min(kChunk, setup.total_snapshots - w0);
-    const Matrix chunk =
-        w0 + count <= setup.train_snapshots
-            ? train_snaps.slice_cols(w0, w0 + count)  // reuse, avoid regen
-            : sst_.snapshots(mask_, w0, count);
+    const std::size_t reused =
+        w0 < setup.train_snapshots
+            ? std::min(count, setup.train_snapshots - w0)
+            : 0;
+    Matrix chunk;
+    if (reused == count) {
+      chunk = train_snaps.slice_cols(w0, w0 + count);
+    } else {
+      const obs::ScopedTimer span(reg, "pipeline.generate");
+      chunk = sst_.snapshots(mask_, w0 + reused, count - reused);
+      if (reused > 0) chunk = join_cols(train_snaps, w0, reused, chunk);
+    }
+    const obs::ScopedTimer span(reg, "pipeline.project");
     const Matrix a = pod_.project(chunk);
     for (std::size_t c = 0; c < count; ++c) {
       for (std::size_t m = 0; m < setup.num_modes; ++m) {
@@ -40,6 +77,7 @@ void PODLSTMPipeline::prepare() {
     }
   }
 
+  const obs::ScopedTimer window_span(reg, "pipeline.window");
   // Per-mode standardization on training-period statistics: raw POD
   // coefficients are O(sqrt(Nh)) and would saturate LSTM gates.
   scale_mean_.assign(setup.num_modes, 0.0);

@@ -39,7 +39,10 @@ class PODLSTMPipeline {
 
   /// Generates the training snapshots, fits the POD basis, projects the
   /// entire record, and builds the windowed train/val split. Must be
-  /// called before any other member.
+  /// called before any other member. Each week is generated once. With
+  /// an obs registry installed, records a pipeline.prepare span whose
+  /// children are the pipeline.generate, pipeline.pod_fit,
+  /// pipeline.project and pipeline.window stages.
   void prepare();
 
   [[nodiscard]] const PipelineConfig& config() const noexcept { return cfg_; }

@@ -3,23 +3,11 @@
 #include <cmath>
 #include <numbers>
 
-#include "tensor/random.hpp"
+#include "data/hash_normal.hpp"
 
 namespace geonas::data {
 
 namespace {
-double hash_normal(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                   std::uint64_t c) {
-  std::uint64_t h = hash_combine(hash_combine(seed, a), hash_combine(b, c));
-  std::uint64_t s1 = splitmix64(h);
-  std::uint64_t s2 = splitmix64(h);
-  double u1 = static_cast<double>(s1 >> 11) * 0x1.0p-53;
-  const double u2 = static_cast<double>(s2 >> 11) * 0x1.0p-53;
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
-
 Matrix collect_snapshots(const auto& model, const LandMask& mask,
                          std::size_t week0, std::size_t count) {
   Matrix s(mask.ocean_count(), count);

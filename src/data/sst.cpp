@@ -4,7 +4,12 @@
 #include <array>
 #include <cmath>
 #include <numbers>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "data/hash_normal.hpp"
+#include "hpc/parallel_for.hpp"
 #include "tensor/random.hpp"
 
 namespace geonas::data {
@@ -12,66 +17,108 @@ namespace geonas::data {
 namespace {
 constexpr double kDeg2Rad = std::numbers::pi / 180.0;
 
-/// Hash a (seed, week, lat-cell, lon-cell) tuple into a standard normal.
-double hash_normal(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                   std::uint64_t c) {
-  std::uint64_t h = hash_combine(hash_combine(seed, a), hash_combine(b, c));
-  std::uint64_t s1 = splitmix64(h);
-  std::uint64_t s2 = splitmix64(h);
-  double u1 = static_cast<double>(s1 >> 11) * 0x1.0p-53;
-  const double u2 = static_cast<double>(s2 >> 11) * 0x1.0p-53;
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
-}  // namespace
+/// Samples in the chaotic-index and truth eddy-amplitude series; reads
+/// reach week + 1. The Lorenz series are standardized over exactly this
+/// many samples, so changing it changes every week of the record.
+constexpr std::size_t kSeriesWeeks = kRecordWeeks + 2;
 
-SyntheticSST::SyntheticSST(SSTOptions options) : opts_(options) {}
-
-double SyntheticSST::climatology(double lat) const noexcept {
-  const double c = std::cos(lat * kDeg2Rad);
-  // Warm pool ~29.5 C at the equator, below-freezing brine near the poles.
-  return 31.0 * c * c - 1.6;
+/// Index of the record week holding `t` (already clamped to t >= 0);
+/// throws past the horizon.
+std::size_t record_week(double t, const char* who) {
+  if (!(t < static_cast<double>(kRecordWeeks))) {
+    std::ostringstream msg;
+    msg << "SyntheticSST::" << who << ": week " << t
+        << " is past the record horizon (weeks must be < " << kRecordWeeks
+        << ")";
+    throw std::out_of_range(msg.str());
+  }
+  return static_cast<std::size_t>(t);
 }
 
-double SyntheticSST::seasonal(double lat, double lon, double week_time,
-                              double phase_shift_weeks) const noexcept {
+/// Week-invariant part of the seasonal cycle at one cell.
+struct SeasonalCell {
+  double amp;   // annual amplitude (hemisphere sign included)
+  double lag;   // longitude-dependent seasonal lag, weeks
+  double semi;  // semi-annual amplitude
+};
+
+SeasonalCell seasonal_cell(const SSTOptions& opts, double lat, double lon) {
   const double lat_rad = lat * kDeg2Rad;
   const double lon_rad = lon * kDeg2Rad;
   // Hemisphere-antisymmetric amplitude, modulated in longitude (western
   // boundary regions respond more strongly than ocean interiors).
-  const double amp = opts_.seasonal_amplitude * std::sin(lat_rad) *
+  const double amp = opts.seasonal_amplitude * std::sin(lat_rad) *
                      (1.0 + 0.28 * std::sin(lon_rad + 2.2));
   // Longitude-dependent seasonal lag (+-4 weeks): continental coasts lead,
   // maritime interiors trail. This puts the annual cycle's sine AND cosine
   // quadratures into the spatial field, spreading periodic variance over
   // several POD modes exactly as in the observed SST record.
   const double lag = 4.0 * std::sin(lon_rad + 1.0);
-  const double phase = 2.0 * std::numbers::pi *
-                       (week_time + phase_shift_weeks + lag) / kWeeksPerYear;
+  const double semi = opts.semiannual_amplitude * std::abs(std::sin(lat_rad)) *
+                      (1.0 + 0.3 * std::cos(lon_rad - 0.7));
+  return {amp, lag, semi};
+}
+
+/// Annual + semi-annual cycle at (possibly phase-shifted) week time `t`.
+double seasonal_at(const SeasonalCell& cell, double t) {
+  const double phase =
+      2.0 * std::numbers::pi * (t + cell.lag) / kWeeksPerYear;
   // Week 0 is late October; peak NH warmth sits in late August, i.e. about
   // 8.5 weeks before the epoch.
-  const double annual = amp * std::cos(phase + 2.0 * std::numbers::pi * 8.5 /
-                                                   kWeeksPerYear);
-  const double semi = opts_.semiannual_amplitude * std::abs(std::sin(lat_rad)) *
-                      (1.0 + 0.3 * std::cos(lon_rad - 0.7)) *
-                      std::cos(2.0 * phase + 0.9);
+  const double annual = cell.amp * std::cos(phase + 2.0 * std::numbers::pi *
+                                                        8.5 / kWeeksPerYear);
+  const double semi = cell.semi * std::cos(2.0 * phase + 0.9);
   return annual + semi;
 }
 
-double SyntheticSST::trend(double lat, double week_time) const noexcept {
-  const double per_week = opts_.trend_per_decade / (10.0 * kWeeksPerYear);
-  const double lat_weight = 0.4 + 0.6 * std::cos(lat * kDeg2Rad);
-  return per_week * week_time * lat_weight;
+double trend_per_week(const SSTOptions& opts) {
+  return opts.trend_per_decade / (10.0 * kWeeksPerYear);
 }
 
-void SyntheticSST::ensure_chaos_series(std::size_t weeks) const {
-  if (enso_series_.size() >= weeks) return;
+double trend_weight(double lat) {
+  return 0.4 + 0.6 * std::cos(lat * kDeg2Rad);
+}
+
+double eddy_envelope(double lat) {
+  // Eddy kinetic energy concentrates along mid-latitude boundary currents.
+  const double lat_rad = lat * kDeg2Rad;
+  return 0.35 + 0.65 * std::pow(std::sin(2.0 * lat_rad), 2);
+}
+
+/// The (lat-cell, lon-cell) half of a noise hash key.
+std::uint64_t noise_cell_key(double lat, double lon) {
+  const auto qlat = static_cast<std::uint64_t>((lat + 90.0) * 16.0);
+  const auto qlon = static_cast<std::uint64_t>(lon * 16.0);
+  return hash_combine(qlat, qlon);
+}
+}  // namespace
+
+struct SyntheticSST::CellTerms {
+  double climatology;
+  SeasonalCell seasonal;
+  double trend_weight;
+  double enso_pattern;
+  double tele_pattern;
+  double eddy_envelope;
+  double u, v;  // lat / 180, lon / 360: the eddy waves' phase coordinates
+  std::uint64_t noise_key;
+};
+
+struct SyntheticSST::WeekTerms {
+  double t;
+  double enso;   // enso_amplitude * enso_index(t)
+  double tele;   // tele_amplitude * tele_index(t)
+  double trend;  // warming per week * t
+  std::uint64_t noise_key;
+  const double* waves;  // wave_terms() of the truth bank
+};
+
+SyntheticSST::SyntheticSST(SSTOptions options) : opts_(options) {
   // Lorenz-63 (sigma=10, rho=28, beta=8/3) integrated with RK4 at fine
   // steps; weekly samples of x become the ENSO index and of y (offset by a
   // quarter of the record) the teleconnection index, each standardized.
   // Deterministic: fixed initial condition and step size.
-  const std::size_t horizon = std::max<std::size_t>(weeks, 2400) + 600;
+  const std::size_t horizon = kSeriesWeeks;
   const double dt_natural = 0.004;
   const double week_natural = opts_.chaos_rate;
   const auto steps_per_week =
@@ -124,18 +171,35 @@ void SyntheticSST::ensure_chaos_series(std::size_t weeks) const {
   standardize(ys);
   // Offset the teleconnection series so the two indices decorrelate.
   const std::size_t offset = horizon / 4;
-  std::vector<double> tele(horizon);
+  tele_series_.resize(horizon);
   for (std::size_t w = 0; w < horizon; ++w) {
-    tele[w] = ys[(w + offset) % horizon];
+    tele_series_[w] = ys[(w + offset) % horizon];
   }
   enso_series_ = std::move(xs);
-  tele_series_ = std::move(tele);
+
+  truth_bank_ = make_bank(opts_.seed);
+  extend_amp_series(truth_bank_, kSeriesWeeks);
+}
+
+double SyntheticSST::climatology(double lat) const noexcept {
+  const double c = std::cos(lat * kDeg2Rad);
+  // Warm pool ~29.5 C at the equator, below-freezing brine near the poles.
+  return 31.0 * c * c - 1.6;
+}
+
+double SyntheticSST::seasonal(double lat, double lon, double week_time,
+                              double phase_shift_weeks) const noexcept {
+  return seasonal_at(seasonal_cell(opts_, lat, lon),
+                     week_time + phase_shift_weeks);
+}
+
+double SyntheticSST::trend(double lat, double week_time) const noexcept {
+  return trend_per_week(opts_) * week_time * trend_weight(lat);
 }
 
 double SyntheticSST::enso_index(double week_time) const {
   const double t = std::max(0.0, week_time);
-  ensure_chaos_series(static_cast<std::size_t>(t) + 3);
-  const auto i0 = static_cast<std::size_t>(t);
+  const std::size_t i0 = record_week(t, "enso_index");
   const double frac = t - static_cast<double>(i0);
   const double lorenz =
       (1.0 - frac) * enso_series_[i0] + frac * enso_series_[i0 + 1];
@@ -160,8 +224,7 @@ double SyntheticSST::enso_index(double week_time) const {
 
 double SyntheticSST::tele_index(double week_time) const {
   const double t = std::max(0.0, week_time);
-  ensure_chaos_series(static_cast<std::size_t>(t) + 3);
-  const auto i0 = static_cast<std::size_t>(t);
+  const std::size_t i0 = record_week(t, "tele_index");
   const double frac = t - static_cast<double>(i0);
   const double lorenz =
       (1.0 - frac) * tele_series_[i0] + frac * tele_series_[i0 + 1];
@@ -189,11 +252,8 @@ double SyntheticSST::enso_pattern(double lat, double lon) const noexcept {
   return std::exp(-dlat * dlat - dlon * dlon);
 }
 
-const SyntheticSST::WaveBank& SyntheticSST::waves_for(
+SyntheticSST::WaveBank SyntheticSST::make_bank(
     std::uint64_t realization_seed) const {
-  for (const auto& [seed, bank] : wave_cache_) {
-    if (seed == realization_seed) return bank;
-  }
   Rng rng(hash_combine(realization_seed, 0xEDD1E5ULL));
   WaveBank bank;
   bank.waves.resize(static_cast<std::size_t>(opts_.eddy_waves));
@@ -212,96 +272,193 @@ const SyntheticSST::WaveBank& SyntheticSST::waves_for(
     w.amp_seed = rng.next();
   }
   bank.amp_series.resize(bank.waves.size());
-  wave_cache_.emplace_back(realization_seed, std::move(bank));
-  return wave_cache_.back().second;
+  return bank;
 }
 
-void SyntheticSST::ensure_amp_series(const WaveBank& bank,
-                                     std::size_t weeks) const {
-  // AR(1) amplitude factors per wave: a(t+1) = phi a(t) + e(t), scaled to
-  // mean 1 and the configured modulation depth. The innovations come from
-  // a per-wave hash stream, so the series are deterministic and extendable.
-  auto& series = const_cast<WaveBank&>(bank).amp_series;
+void SyntheticSST::extend_amp_series(WaveBank& bank, std::size_t weeks) const {
+  // AR(1) amplitude factors per wave: a(t) = 1 + d(t) with
+  // d(t) = phi d(t-1) + e(t), d(-1) = 0, scaled to the configured
+  // modulation depth. The innovations come from a per-wave hash stream.
+  // From week 3 on, d(t-1) is re-read from the stored factor as
+  // a(t-1) - 1, which is not bitwise d(t-1). The record is defined that
+  // way, and it makes each factor a function of its week alone, however
+  // far the series is grown per call. Series only ever grow from empty
+  // to at least 3 weeks, so weeks 0-2 always come from one pass.
   const double phi = opts_.eddy_ar1;
   const double innovation_sd =
       opts_.eddy_modulation * std::sqrt(std::max(1e-9, 1.0 - phi * phi));
   for (std::size_t m = 0; m < bank.waves.size(); ++m) {
-    auto& s = series[m];
+    auto& s = bank.amp_series[m];
     if (s.size() >= weeks) continue;
     double prev_dev = s.empty() ? 0.0 : s.back() - 1.0;
-    if (s.empty()) s.reserve(weeks + 64);
+    s.reserve(weeks);
     for (std::size_t w = s.size(); w < weeks; ++w) {
       const double innovation =
           innovation_sd *
           hash_normal(bank.waves[m].amp_seed, w, 0xA3ULL, 0x77ULL);
-      prev_dev = phi * prev_dev + innovation;
-      s.push_back(1.0 + prev_dev);
+      const double dev = phi * prev_dev + innovation;
+      s.push_back(1.0 + dev);
+      prev_dev = w < 2 ? dev : s.back() - 1.0;
     }
   }
 }
 
-double SyntheticSST::eddy(double lat, double lon, double week_time,
-                          std::uint64_t realization_seed) const {
-  const WaveBank& bank = waves_for(realization_seed);
-  const double t = std::max(0.0, week_time);
-  const auto i0 = static_cast<std::size_t>(t);
-  const double frac = t - static_cast<double>(i0);
-  ensure_amp_series(bank, i0 + 3);
+const SyntheticSST::WaveBank& SyntheticSST::waves_for(
+    std::uint64_t realization_seed, std::size_t weeks) const {
+  if (realization_seed == opts_.seed) return truth_bank_;
+  auto it = std::find_if(
+      wave_cache_.begin(), wave_cache_.end(),
+      [&](const auto& entry) { return entry.first == realization_seed; });
+  if (it == wave_cache_.end()) {
+    wave_cache_.emplace_back(realization_seed, make_bank(realization_seed));
+    it = std::prev(wave_cache_.end());
+  }
+  extend_amp_series(it->second, weeks);
+  return it->second;
+}
 
-  const double lat_rad = lat * kDeg2Rad;
-  // Eddy kinetic energy concentrates along mid-latitude boundary currents.
-  const double envelope = 0.35 + 0.65 * std::pow(std::sin(2.0 * lat_rad), 2);
-  const double u = lat / 180.0;   // [-0.5, 0.5]
-  const double v = lon / 360.0;   // [0, 1]
-  double acc = 0.0;
+void SyntheticSST::wave_terms(const WaveBank& bank, double week_time,
+                              double* out) {
+  const double t = std::max(0.0, week_time);
+  const std::size_t i0 = record_week(t, "eddy");
+  const double frac = t - static_cast<double>(i0);
   for (std::size_t m = 0; m < bank.waves.size(); ++m) {
     const Wave& w = bank.waves[m];
     const double a = (1.0 - frac) * bank.amp_series[m][i0] +
                      frac * bank.amp_series[m][i0 + 1];
-    acc += a * w.amp *
-           std::sin(2.0 * std::numbers::pi * (w.klat * u + w.klon * v) -
-                    w.omega * week_time + w.phase);
+    out[2 * m] = a * w.amp;
+    out[2 * m + 1] = w.omega * week_time;
   }
-  return envelope * acc;
+}
+
+double SyntheticSST::wave_sum(const WaveBank& bank, const double* terms,
+                              double u, double v) noexcept {
+  double acc = 0.0;
+  for (std::size_t m = 0; m < bank.waves.size(); ++m) {
+    const Wave& w = bank.waves[m];
+    acc += terms[2 * m] *
+           std::sin(2.0 * std::numbers::pi * (w.klat * u + w.klon * v) -
+                    terms[2 * m + 1] + w.phase);
+  }
+  return acc;
+}
+
+double SyntheticSST::eddy(double lat, double lon, double week_time,
+                          std::uint64_t realization_seed) const {
+  const double t = std::max(0.0, week_time);
+  const WaveBank& bank =
+      waves_for(realization_seed, record_week(t, "eddy") + 3);
+  std::vector<double> terms(2 * bank.waves.size());
+  wave_terms(bank, week_time, terms.data());
+  return eddy_envelope(lat) *
+         wave_sum(bank, terms.data(), lat / 180.0, lon / 360.0);
 }
 
 double SyntheticSST::noise(double lat, double lon, std::size_t week) const {
-  const auto qlat = static_cast<std::uint64_t>((lat + 90.0) * 16.0);
-  const auto qlon = static_cast<std::uint64_t>(lon * 16.0);
-  return opts_.noise_sigma * hash_normal(opts_.seed, week, qlat, qlon);
+  return opts_.noise_sigma *
+         normal_from_key(hash_combine(hash_combine(opts_.seed, week),
+                                      noise_cell_key(lat, lon)));
 }
 
-double SyntheticSST::value(double lat, double lon, std::size_t week) const {
-  const auto t = static_cast<double>(week);
-  double temp = climatology(lat) + seasonal(lat, lon, t) + trend(lat, t) +
-                opts_.enso_amplitude * enso_index(t) * enso_pattern(lat, lon) +
-                opts_.tele_amplitude * tele_index(t) * tele_pattern(lat, lon) +
-                eddy(lat, lon, t, opts_.seed) + noise(lat, lon, week);
+SyntheticSST::CellTerms SyntheticSST::cell_terms(double lat,
+                                                 double lon) const {
+  return {.climatology = climatology(lat),
+          .seasonal = seasonal_cell(opts_, lat, lon),
+          .trend_weight = trend_weight(lat),
+          .enso_pattern = enso_pattern(lat, lon),
+          .tele_pattern = tele_pattern(lat, lon),
+          .eddy_envelope = eddy_envelope(lat),
+          .u = lat / 180.0,
+          .v = lon / 360.0,
+          .noise_key = noise_cell_key(lat, lon)};
+}
+
+SyntheticSST::WeekTerms SyntheticSST::week_terms(std::size_t week,
+                                                 double* waves) const {
+  WeekTerms terms;
+  terms.t = static_cast<double>(week);
+  terms.enso = opts_.enso_amplitude * enso_index(terms.t);
+  terms.tele = opts_.tele_amplitude * tele_index(terms.t);
+  terms.trend = trend_per_week(opts_) * terms.t;
+  terms.noise_key = hash_combine(opts_.seed, week);
+  wave_terms(truth_bank_, terms.t, waves);
+  terms.waves = waves;
+  return terms;
+}
+
+double SyntheticSST::compose(const CellTerms& cell,
+                             const WeekTerms& week) const noexcept {
+  const double eddy = cell.eddy_envelope *
+                      wave_sum(truth_bank_, week.waves, cell.u, cell.v);
+  const double noise =
+      opts_.noise_sigma *
+      normal_from_key(hash_combine(week.noise_key, cell.noise_key));
+  const double temp = cell.climatology + seasonal_at(cell.seasonal, week.t) +
+                      week.trend * cell.trend_weight +
+                      week.enso * cell.enso_pattern +
+                      week.tele * cell.tele_pattern + eddy + noise;
   // Sea water cannot cool much below the freezing point of brine.
   return std::max(temp, -1.9);
 }
 
+double SyntheticSST::value(double lat, double lon, std::size_t week) const {
+  std::vector<double> waves(2 * truth_bank_.waves.size());
+  return compose(cell_terms(lat, lon), week_terms(week, waves.data()));
+}
+
+void SyntheticSST::generate(const std::vector<CellTerms>& cells,
+                            std::size_t week0, std::size_t count,
+                            double* out) const {
+  // Week terms are cheap and may throw (past the horizon): build them
+  // serially, so the parallel region only reads.
+  const std::size_t per_week = 2 * truth_bank_.waves.size();
+  std::vector<double> waves(count * per_week);
+  std::vector<WeekTerms> weeks;
+  weeks.reserve(count);
+  for (std::size_t c = 0; c < count; ++c) {
+    weeks.push_back(week_terms(week0 + c, waves.data() + c * per_week));
+  }
+  // ~25 flops per transcendental: one sin per wave plus about eight more
+  // (seasonal cosines, noise log/sqrt/cos) per entry.
+  const double cost = 25.0 * static_cast<double>(cells.size()) *
+                      static_cast<double>(count) *
+                      static_cast<double>(truth_bank_.waves.size() + 8);
+  hpc::parallel_for(0, count, cost, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      double* row = out + i * count;
+      for (std::size_t c = lo; c < hi; ++c) {
+        row[c] = compose(cells[i], weeks[c]);
+      }
+    }
+  });
+}
+
 std::vector<double> SyntheticSST::field(const Grid& grid,
                                         std::size_t week) const {
-  std::vector<double> out(grid.cells());
+  std::vector<CellTerms> cells;
+  cells.reserve(grid.cells());
   for (std::size_t i = 0; i < grid.nlat; ++i) {
     const double lat = grid.lat_of(i);
     for (std::size_t j = 0; j < grid.nlon; ++j) {
-      out[grid.index(i, j)] = value(lat, grid.lon_of(j), week);
+      cells.push_back(cell_terms(lat, grid.lon_of(j)));
     }
   }
+  std::vector<double> out(grid.cells());
+  generate(cells, week, 1, out.data());
   return out;
 }
 
 Matrix SyntheticSST::snapshots(const LandMask& mask, std::size_t week0,
                                std::size_t count) const {
   const Grid& grid = mask.grid();
-  Matrix s(mask.ocean_count(), count);
-  for (std::size_t c = 0; c < count; ++c) {
-    const std::vector<double> full = field(grid, week0 + c);
-    const std::vector<double> ocean = mask.flatten(full);
-    s.set_col(c, ocean);
+  std::vector<CellTerms> cells;
+  cells.reserve(mask.ocean_count());
+  for (const std::size_t cell : mask.ocean_cells()) {
+    cells.push_back(cell_terms(grid.lat_of(cell / grid.nlon),
+                               grid.lon_of(cell % grid.nlon)));
   }
+  Matrix s(mask.ocean_count(), count);
+  generate(cells, week0, count, s.flat().data());
   return s;
 }
 

@@ -15,9 +15,33 @@
 //   * hash-based white measurement noise.
 // The deterministic components are low-rank, so ~5 POD modes capture
 // ~90 % of the centered variance — matching the paper's Nr = 5 setting.
+//
+// Purity and horizon. The truth record is a pure function of
+// (lat, lon, week, seed): the chaotic climate indices and the truth eddy
+// bank (waves plus AR(1) amplitude series) are built once, in the
+// constructor, out to a fixed horizon, so no call can change what any
+// other call returns. Weeks (and week times) in [0, kRecordWeeks) are
+// served; a later one throws std::out_of_range naming the week and the
+// limit.
+//
+// Evaluation. Each term splits into a per-cell part (climatology,
+// seasonal amplitude and lag, mode patterns, eddy envelope, noise cell
+// key) and a per-week part (climate indices, trend, eddy amplitudes and
+// wave phases), and one compose step combines them in a fixed operation
+// order. value() composes one cell; field() and snapshots() compute the
+// cell terms once per call (snapshots(): ocean cells only) and split the
+// weeks across the kernel pool (hpc::parallel_for). Results are bitwise
+// identical at every kernel thread count and to value() cell by cell.
+//
+// Thread safety. value(), field(), snapshots() and the truth-realization
+// components only read after construction and may be called
+// concurrently. eddy() with a seed other than options().seed (the
+// comparator surrogates' own realizations) lazily builds and extends that
+// realization's bank; those calls are single-threaded.
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "data/grid.hpp"
@@ -28,6 +52,10 @@ namespace geonas::data {
 
 /// Mean tropical year in weeks; the seasonal cycle period.
 inline constexpr double kWeeksPerYear = 52.1775;
+
+/// Number of weeks the truth record spans: week times in
+/// [0, kRecordWeeks) are served (the paper's record is 1,914 weeks).
+inline constexpr std::size_t kRecordWeeks = 2998;
 
 struct SSTOptions {
   std::uint64_t seed = 2020;
@@ -63,7 +91,8 @@ class SyntheticSST {
                                           std::size_t week) const;
 
   /// Ocean-flattened snapshot matrix S in R^{Nh x count} for weeks
-  /// [week0, week0 + count) — the paper's eq. (1) layout.
+  /// [week0, week0 + count) — the paper's eq. (1) layout. Equal, bit for
+  /// bit, to mask.flatten(field(grid, w)) column by column.
   [[nodiscard]] Matrix snapshots(const LandMask& mask, std::size_t week0,
                                  std::size_t count) const;
 
@@ -85,7 +114,8 @@ class SyntheticSST {
   /// by nonlinear models (the LSTM) but defeats finite-tap linear AR
   /// prediction, with an amplitude envelope that strengthens through the
   /// test decades (a post-training regime change that additionally defeats
-  /// tree regressors). Negative times clamp to 0.
+  /// tree regressors). Negative times clamp to 0; times at or past
+  /// kRecordWeeks throw std::out_of_range.
   [[nodiscard]] double enso_index(double week_time) const;
   /// A second chaotic climate mode (the Lorenz y-component, offset in
   /// time) loading on a mid-latitude North-Pacific pattern.
@@ -94,7 +124,8 @@ class SyntheticSST {
   /// ENSO spatial loading (1 at pattern center, ~0 elsewhere).
   [[nodiscard]] double enso_pattern(double lat, double lon) const noexcept;
   /// Mesoscale eddy field for an alternative seed (comparators draw their
-  /// own realizations); pass opts_.seed for the truth realization.
+  /// own realizations); pass options().seed for the truth realization.
+  /// Non-truth seeds build their bank lazily (not thread-safe).
   [[nodiscard]] double eddy(double lat, double lon, double week_time,
                             std::uint64_t realization_seed) const;
   /// Hash-based white noise for a given cell/week (truth realization).
@@ -107,18 +138,46 @@ class SyntheticSST {
   };
   struct WaveBank {
     std::vector<Wave> waves;
-    // Weekly AR(1) amplitude factors, one series per wave (lazily grown).
+    // Weekly AR(1) amplitude factors, one series per wave.
     std::vector<std::vector<double>> amp_series;
   };
-  [[nodiscard]] const WaveBank& waves_for(std::uint64_t realization_seed) const;
-  void ensure_amp_series(const WaveBank& bank, std::size_t weeks) const;
-  /// Lazily integrates the Lorenz system out to at least `weeks`.
-  void ensure_chaos_series(std::size_t weeks) const;
+  struct CellTerms;  // per-cell parts of the field (sst.cpp)
+  struct WeekTerms;  // per-week parts of the field (sst.cpp)
+
+  [[nodiscard]] WaveBank make_bank(std::uint64_t realization_seed) const;
+  /// Grows every amplitude series of `bank` to at least `weeks` entries.
+  void extend_amp_series(WaveBank& bank, std::size_t weeks) const;
+  /// The bank of `realization_seed`: the truth bank, or a comparator bank
+  /// built and grown here to at least `weeks` amplitude samples.
+  [[nodiscard]] const WaveBank& waves_for(std::uint64_t realization_seed,
+                                          std::size_t weeks) const;
+  /// Per-wave week terms at `week_time`: out[2m] = a_m(t) * amp_m and
+  /// out[2m + 1] = omega_m * t (2 doubles per wave).
+  static void wave_terms(const WaveBank& bank, double week_time,
+                         double* out);
+  /// Sum over the bank's waves at phase coordinates (u, v).
+  [[nodiscard]] static double wave_sum(const WaveBank& bank,
+                                       const double* terms, double u,
+                                       double v) noexcept;
+
+  [[nodiscard]] CellTerms cell_terms(double lat, double lon) const;
+  /// The terms of `week`; its wave terms go to `waves` (2 per wave),
+  /// which must outlive the result.
+  [[nodiscard]] WeekTerms week_terms(std::size_t week, double* waves) const;
+  [[nodiscard]] double compose(const CellTerms& cell,
+                               const WeekTerms& week) const noexcept;
+  /// out[i * count + c] = compose(cells[i], week_terms(week0 + c, ...)):
+  /// the batched kernel behind field() and snapshots(), week-parallel.
+  void generate(const std::vector<CellTerms>& cells, std::size_t week0,
+                std::size_t count, double* out) const;
 
   SSTOptions opts_;
+  // Truth realization, built in the constructor and read-only afterwards.
+  std::vector<double> enso_series_;  // weekly samples, standardized
+  std::vector<double> tele_series_;
+  WaveBank truth_bank_;
+  // Comparator realizations, built on first use (single-threaded).
   mutable std::vector<std::pair<std::uint64_t, WaveBank>> wave_cache_;
-  mutable std::vector<double> enso_series_;  // weekly samples, normalized
-  mutable std::vector<double> tele_series_;
 };
 
 }  // namespace geonas::data

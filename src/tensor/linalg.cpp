@@ -21,6 +21,17 @@ double offdiag_norm(const Matrix& a) {
   return std::sqrt(acc);
 }
 
+/// Plane rotation of two contiguous rows:
+/// (x, y) <- (c x - s y, s x + c y), element by element.
+void rotate_rows(double* x, double* y, std::size_t n, double c, double s) {
+  for (std::size_t k = 0; k < n; ++k) {
+    const double xk = x[k];
+    const double yk = y[k];
+    x[k] = c * xk - s * yk;
+    y[k] = s * xk + c * yk;
+  }
+}
+
 }  // namespace
 
 EigenResult eigen_symmetric(const Matrix& input, double tol, int max_sweeps) {
@@ -29,7 +40,12 @@ EigenResult eigen_symmetric(const Matrix& input, double tol, int max_sweeps) {
   }
   const std::size_t n = input.rows();
   Matrix a = input;
-  Matrix v = Matrix::identity(n);
+  // Eigenvectors accumulate transposed: row i of vt is column i of V, so
+  // each rotation updates two contiguous rows instead of two strided
+  // columns (same arithmetic, same bits).
+  Matrix vt = Matrix::identity(n);
+  double* const ad = a.flat().data();
+  double* const vd = vt.flat().data();
   const double scale = std::max(a.frobenius_norm(), 1e-300);
 
   int sweep = 0;
@@ -37,10 +53,10 @@ EigenResult eigen_symmetric(const Matrix& input, double tol, int max_sweeps) {
     if (offdiag_norm(a) <= tol * scale) break;
     for (std::size_t p = 0; p + 1 < n; ++p) {
       for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
+        const double apq = ad[p * n + q];
         if (std::abs(apq) <= 1e-300) continue;
-        const double app = a(p, p);
-        const double aqq = a(q, q);
+        const double app = ad[p * n + p];
+        const double aqq = ad[q * n + q];
         // Stable rotation angle computation (Golub & Van Loan 8.4).
         const double theta = (aqq - app) / (2.0 * apq);
         const double t = (theta >= 0.0 ? 1.0 : -1.0) /
@@ -49,23 +65,13 @@ EigenResult eigen_symmetric(const Matrix& input, double tol, int max_sweeps) {
         const double s = t * c;
 
         for (std::size_t k = 0; k < n; ++k) {
-          const double akp = a(k, p);
-          const double akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
+          const double akp = ad[k * n + p];
+          const double akq = ad[k * n + q];
+          ad[k * n + p] = c * akp - s * akq;
+          ad[k * n + q] = s * akp + c * akq;
         }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double apk = a(p, k);
-          const double aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
+        rotate_rows(ad + p * n, ad + q * n, n, c, s);
+        rotate_rows(vd + p * n, vd + q * n, n, c, s);
       }
     }
   }
@@ -85,7 +91,8 @@ EigenResult eigen_symmetric(const Matrix& input, double tol, int max_sweeps) {
   Matrix sorted_vecs(n, n);
   for (std::size_t i = 0; i < n; ++i) {
     sorted_vals[i] = result.eigenvalues[order[i]];
-    for (std::size_t r = 0; r < n; ++r) sorted_vecs(r, i) = v(r, order[i]);
+    const double* vec = vd + order[i] * n;
+    for (std::size_t r = 0; r < n; ++r) sorted_vecs(r, i) = vec[r];
   }
   result.eigenvalues = std::move(sorted_vals);
   result.eigenvectors = std::move(sorted_vecs);

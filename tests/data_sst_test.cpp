@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "data/comparators.hpp"
+#include "hpc/parallel_for.hpp"
 #include "data/sst.hpp"
 #include "data/windowing.hpp"
 #include "pod/pod.hpp"
@@ -118,6 +125,117 @@ TEST(SST, SnapshotMatrixLayout) {
   const auto week5 = mask.flatten(sst.field(grid, 5));
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_DOUBLE_EQ(snaps(i, 2), week5[i]);
+  }
+}
+
+/// FNV-1a over the bytes of a double sequence.
+std::uint64_t fnv1a(std::span<const double> values) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double d : values) {
+    unsigned char bytes[sizeof d];
+    std::memcpy(bytes, &d, sizeof d);
+    for (const unsigned char b : bytes) h = (h ^ b) * 1099511628211ULL;
+  }
+  return h;
+}
+
+struct KernelThreadsGuard {
+  explicit KernelThreadsGuard(std::size_t threads) {
+    hpc::set_kernel_threads(threads);
+  }
+  ~KernelThreadsGuard() { hpc::set_kernel_threads(0); }
+};
+
+TEST(SST, SnapshotsMatchPerCellValueAtEveryThreadCount) {
+  // The batched, ocean-only, week-parallel kernel against value() cell by
+  // cell, on a window that crosses the end of the training period.
+  const Grid grid{45, 90};
+  const LandMask mask(grid, 7);
+  const SyntheticSST sst;
+  constexpr std::size_t kWeek0 = 420, kWeeks = 16;
+  Matrix expected(mask.ocean_count(), kWeeks);
+  for (std::size_t c = 0; c < kWeeks; ++c) {
+    std::vector<double> full(grid.cells());
+    for (std::size_t i = 0; i < grid.nlat; ++i) {
+      for (std::size_t j = 0; j < grid.nlon; ++j) {
+        full[grid.index(i, j)] =
+            sst.value(grid.lat_of(i), grid.lon_of(j), kWeek0 + c);
+      }
+    }
+    expected.set_col(c, mask.flatten(full));
+  }
+  for (const std::size_t threads : {1UL, 2UL, 4UL}) {
+    SCOPED_TRACE(::testing::Message() << "kernel_threads=" << threads);
+    const KernelThreadsGuard guard(threads);
+    const Matrix got = sst.snapshots(mask, kWeek0, kWeeks);
+    ASSERT_EQ(got.rows(), expected.rows());
+    ASSERT_EQ(got.cols(), expected.cols());
+    EXPECT_EQ(std::memcmp(got.flat().data(), expected.flat().data(),
+                          got.size() * sizeof(double)),
+              0);
+  }
+}
+
+TEST(SST, RecordMatchesGoldenHash) {
+  // Weeks 0-435 on a small grid, captured before the batched generator
+  // replaced the per-cell loop; the record must not drift by one bit.
+  const LandMask mask(Grid{24, 48}, 7);
+  const SyntheticSST sst;
+  const Matrix s = sst.snapshots(mask, 0, 436);
+  EXPECT_EQ(fnv1a(s.flat()), 0xf849c9d6bf47ca97ULL);
+}
+
+TEST(SST, EddyAmplitudesIndependentOfCallOrder) {
+  // A fresh instance asked for week 1000 must serve the same field as one
+  // that first generated weeks 0-999 (the AR(1) amplitude series used to
+  // depend on how far it had been grown).
+  const Grid grid{24, 48};
+  const LandMask mask(grid, 7);
+  const SyntheticSST fresh;
+  const std::vector<double> direct = fresh.field(grid, 1000);
+  const SyntheticSST grown;
+  (void)grown.snapshots(mask, 0, 1000);
+  const std::vector<double> after = grown.field(grid, 1000);
+  EXPECT_EQ(direct, after);
+  EXPECT_EQ(fresh.eddy(30.0, 150.0, 1000.0, 2020),
+            grown.eddy(30.0, 150.0, 1000.0, 2020));
+}
+
+TEST(SST, LateRequestsLeaveEarlierWeeksUnchanged) {
+  // A late first request, or any request past the record, used to
+  // re-standardize the Lorenz series over a longer horizon, changing
+  // every earlier week.
+  constexpr double kEnso100 = -1.2839584928258057;  // the record's value
+  const Grid grid{24, 48};
+  const SyntheticSST late_first;
+  (void)late_first.value(0.0, 200.0, 2500);
+  EXPECT_EQ(late_first.enso_index(100.0), kEnso100);
+
+  const SyntheticSST sst;
+  const std::vector<double> week100 = sst.field(grid, 100);
+  EXPECT_EQ(sst.enso_index(100.0), kEnso100);
+  (void)sst.value(0.0, 200.0, kRecordWeeks - 1);
+  EXPECT_THROW((void)sst.value(0.0, 200.0, 3000), std::out_of_range);
+  EXPECT_EQ(sst.enso_index(100.0), kEnso100);
+  EXPECT_EQ(sst.field(grid, 100), week100);
+}
+
+TEST(SST, WeekPastHorizonThrows) {
+  const SyntheticSST sst;
+  const LandMask mask(Grid{24, 48}, 7);
+  EXPECT_NO_THROW((void)sst.value(0.0, 200.0, kRecordWeeks - 1));
+  EXPECT_THROW((void)sst.value(0.0, 200.0, kRecordWeeks), std::out_of_range);
+  EXPECT_THROW((void)sst.snapshots(mask, kRecordWeeks - 2, 3),
+               std::out_of_range);
+  EXPECT_THROW((void)sst.eddy(0.0, 200.0, 5000.0, 7), std::out_of_range);
+  try {
+    (void)sst.value(0.0, 200.0, 3000);
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("3000"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(kRecordWeeks)), std::string::npos)
+        << what;
   }
 }
 

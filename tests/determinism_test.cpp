@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/pipeline.hpp"
 #include "hpc/parallel_for.hpp"
 #include "nn/dense.hpp"
 #include "nn/graph.hpp"
@@ -247,6 +248,32 @@ TEST(Determinism, TrainerFitBitwiseIdenticalAcrossThreadCounts) {
     ASSERT_EQ(fit.train_loss, reference.train_loss);
     ASSERT_EQ(fit.params, reference.params);
   }
+}
+
+struct PreparedRecord {
+  Matrix basis;
+  Matrix scaled_coefficients;
+};
+
+PreparedRecord prepare_at(std::size_t threads) {
+  KernelThreadsGuard guard(threads);
+  core::PipelineConfig cfg;
+  cfg.setup.grid = {24, 48};
+  cfg.setup.train_snapshots = 120;
+  cfg.setup.total_snapshots = 240;
+  core::PODLSTMPipeline pipeline(cfg);
+  pipeline.prepare();
+  return {pipeline.pod().basis(), pipeline.scaled_coefficients()};
+}
+
+TEST(Determinism, PipelinePrepareBitwiseIdenticalAcrossThreadCounts) {
+  // Week-parallel snapshot generation plus the POD fit and projection:
+  // the prepared record must not depend on the kernel pool.
+  const PreparedRecord reference = prepare_at(1);
+  ASSERT_EQ(reference.scaled_coefficients.cols(), 240u);
+  const PreparedRecord parallel = prepare_at(4);
+  EXPECT_EQ(parallel.basis, reference.basis);
+  EXPECT_EQ(parallel.scaled_coefficients, reference.scaled_coefficients);
 }
 
 }  // namespace

@@ -7,14 +7,19 @@
 // worker threads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/nas_driver.hpp"
+#include "core/pipeline.hpp"
 #include "core/surrogate.hpp"
 #include "hpc/parallel_for.hpp"
 #include "obs/json_export.hpp"
@@ -363,6 +368,44 @@ TEST(ObsWiring, UnderThresholdDispatchIsNotInstrumented) {
                     });
   hpc::set_kernel_threads(0);
   EXPECT_EQ(fix.registry.counter("kernel.dispatches").value(), 0u);
+}
+
+TEST(ObsWiring, PipelinePrepareStagesCoverPrepareSpan) {
+  core::PipelineConfig cfg;
+  cfg.setup.grid = {24, 48};
+  cfg.setup.train_snapshots = 120;
+  cfg.setup.total_snapshots = 240;
+  RegistryFixture fix;
+  core::PODLSTMPipeline pipeline(cfg);
+  pipeline.prepare();
+
+  const auto spans = fix.registry.spans();
+  const auto root_it =
+      std::find_if(spans.begin(), spans.end(), [](const SpanRecord& s) {
+        return std::string(s.name) == "pipeline.prepare";
+      });
+  ASSERT_NE(root_it, spans.end()) << "no pipeline.prepare span";
+  // Parent indices count the spans of one thread in open order.
+  const std::uint32_t thread = root_it->thread;
+  const auto root = static_cast<std::int64_t>(std::count_if(
+      spans.begin(), root_it,
+      [&](const SpanRecord& s) { return s.thread == thread; }));
+  const double total = root_it->duration;
+  ASSERT_GT(total, 0.0);
+  double covered = 0.0;
+  std::set<std::string> stages;
+  for (const auto& span : spans) {
+    if (span.thread != thread || span.parent != root) continue;
+    covered += span.duration;
+    stages.insert(span.name);
+  }
+  EXPECT_EQ(stages, (std::set<std::string>{"pipeline.generate",
+                                           "pipeline.pod_fit",
+                                           "pipeline.project",
+                                           "pipeline.window"}));
+  EXPECT_GE(covered, 0.95 * total)
+      << "stages cover " << covered << " s of a " << total << " s prepare()";
+  EXPECT_LE(covered, total);
 }
 
 TEST(ObsWiring, CampaignHistoryIdenticalWithMetricsOnAndOff) {

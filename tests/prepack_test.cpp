@@ -301,7 +301,13 @@ TEST(PrepackDeathTest, ConsumingAStalePackAssertsInDebug) {
 #ifdef NDEBUG
   GTEST_SKIP() << "assert() compiled out in NDEBUG builds";
 #else
+  // GTEST_FLAG_SET arrived in GoogleTest 1.11; older releases expose the
+  // flag as a plain global.
+#ifdef GTEST_FLAG_SET
   GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
   Rng rng(110);
   Matrix w = random_matrix(8, 8, rng);
   tensor::PackedPanels pack;

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "tensor/blas.hpp"
 #include "tensor/linalg.hpp"
@@ -48,6 +51,28 @@ TEST(Eigen, KnownTwoByTwo) {
   const EigenResult r = eigen_symmetric(a);
   EXPECT_NEAR(r.eigenvalues[0], 3.0, 1e-12);
   EXPECT_NEAR(r.eigenvalues[1], 1.0, 1e-12);
+}
+
+/// FNV-1a over the bytes of a double sequence.
+std::uint64_t fnv1a(std::span<const double> values) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double d : values) {
+    unsigned char bytes[sizeof d];
+    std::memcpy(bytes, &d, sizeof d);
+    for (const unsigned char b : bytes) h = (h ^ b) * 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(Eigen, GoldenHashOnSeededSymmetric) {
+  // Captured before the Jacobi solver switched to accumulating V
+  // transposed: the POD basis depends on these bits, so any change in
+  // rotation order or arithmetic must show up here.
+  Rng rng(64);
+  const EigenResult e = eigen_symmetric(random_symmetric(64, rng));
+  EXPECT_EQ(e.sweeps, 8);
+  EXPECT_EQ(fnv1a(e.eigenvalues), 0xfd7f83431403f876ULL);
+  EXPECT_EQ(fnv1a(e.eigenvectors.flat()), 0xeb7592ef56ce60c2ULL);
 }
 
 TEST(Eigen, NonSquareThrows) {

@@ -7,6 +7,8 @@
 //   geonas_cli generate  --out snaps.bin --mask mask.bin
 //                        [--nlat 45] [--nlon 90] [--weeks 427] [--start 0]
 //                        [--seed 2020]
+//                        (start + weeks <= 2998, the synthetic record's
+//                        horizon; later weeks fail with an error)
 //   geonas_cli pod       --snapshots snaps.bin [--modes 5]
 //   geonas_cli search    --evaluations 500 [--method ae|rs|ppo] [--seed 1]
 //                        [--checkpoint ckpt.bin] [--checkpoint-every 50]
