@@ -3,10 +3,10 @@
 // synthetic data generation, search-space operations, and the surrogate
 // evaluator.
 //
-// Custom main (below): every run stamps the geonas build type and active
-// vmath backend into the benchmark context, so a committed BENCH_*.json
-// carries its own provenance (tools/run_bench.sh refuses non-release
-// captures on that field — the upstream "library_build_type" describes
+// Custom main (below): every run stamps the geonas build type, the host
+// shape and the active GEMM and vmath kernels into the benchmark
+// context, so a committed BENCH_*.json carries its own provenance
+// (tools/run_bench.sh refuses non-release captures on that field — the upstream "library_build_type" describes
 // the system benchmark library, not this repo's flags).
 #include <benchmark/benchmark.h>
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/surrogate.hpp"
+#include "hpc/parallel_for.hpp"
 #include "data/sst.hpp"
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
@@ -127,6 +128,44 @@ void BM_GemmPerCallPack(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * m * kK * kN));
 }
 BENCHMARK(BM_GemmPerCallPack)->Arg(1)->Arg(8);
+
+// The GEMM shapes a campaign_train evaluation spends most of its GEMM
+// time in (Table-II-sized LSTM, batch 64): the forward input projection
+// against a prepacked weight (64x384x96), the backward data GEMM against
+// a prepacked transposed weight (64x96x384), and the weight gradient
+// A^T*B (96x384x64). Args are (trans_a, m, n, k); items are flops. Runs
+// on one kernel thread, as campaign_train's trainings do, so the figure
+// is the micro-kernel's and not the pool's.
+void BM_GemmTrainShape(benchmark::State& state) {
+  const bool trans_a = state.range(0) != 0;
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  const auto k = static_cast<std::size_t>(state.range(3));
+  const Matrix a = trans_a ? random_matrix(k, m, 9) : random_matrix(m, k, 9);
+  const Matrix b = random_matrix(k, n, 10);
+  Matrix c(m, n);
+  tensor::PackedPanels pack;
+  pack.ensure(b, Trans::kNone);
+  hpc::set_kernel_threads(1);
+  for (auto _ : state) {
+    if (trans_a) {
+      gemm_raw(Trans::kTranspose, Trans::kNone, m, n, k, 1.0, a.flat().data(),
+               m, b.flat().data(), n, 0.0, c.flat().data(), n);
+    } else {
+      gemm_raw(Trans::kNone, m, 1.0, a.flat().data(), k, pack, 0.0,
+               c.flat().data(), n);
+    }
+    benchmark::DoNotOptimize(c.flat().data());
+  }
+  hpc::set_kernel_threads(0);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * m * n * k));
+}
+BENCHMARK(BM_GemmTrainShape)
+    ->ArgNames({"tn", "m", "n", "k"})
+    ->Args({0, 64, 384, 96})
+    ->Args({0, 64, 96, 384})
+    ->Args({1, 96, 384, 64});
 
 void BM_MatmulAtB(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -597,8 +636,6 @@ BENCHMARK(BM_AgingEvolutionCycle);
 
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("geonas_build_type", GEONAS_BENCH_BUILD_TYPE);
-  benchmark::AddCustomContext("geonas_vmath_backend",
-                              geonas::tensor::vmath_backend());
   geonas::benchutil::add_host_context();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

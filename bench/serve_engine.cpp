@@ -10,9 +10,9 @@
 // on BM_ServeEngineThroughput is the "forecast requests per second"
 // figure quoted in README/DESIGN.
 //
-// Custom main (below): every run stamps the geonas build type and active
-// vmath backend into the benchmark context, so a committed BENCH_*.json
-// carries its own provenance (tools/run_bench.sh refuses non-release
+// Custom main (below): every run stamps the geonas build type, the host
+// shape and the active GEMM and vmath kernels into the benchmark
+// context, so a committed BENCH_*.json carries its own provenance (tools/run_bench.sh refuses non-release
 // captures on that field).
 #include <benchmark/benchmark.h>
 
@@ -28,7 +28,6 @@
 #include "serve/engine.hpp"
 #include "serve/frozen_plan.hpp"
 #include "tensor/random.hpp"
-#include "tensor/vmath.hpp"
 
 #include "bench_host_context.hpp"
 
@@ -167,8 +166,6 @@ BENCHMARK(BM_ServeEngineUnbatched)->MeasureProcessCPUTime()->UseRealTime();
 
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("geonas_build_type", GEONAS_BENCH_BUILD_TYPE);
-  benchmark::AddCustomContext("geonas_vmath_backend",
-                              geonas::tensor::vmath_backend());
   geonas::benchutil::add_host_context();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

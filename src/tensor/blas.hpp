@@ -2,12 +2,12 @@
 //
 // All kernels are written against contiguous row-major storage. The
 // matrix products run through a shared cache-blocked, register-tiled
-// GEMM (see tensor/gemm_kernel.hpp) with a runtime-dispatched AVX2+FMA
-// micro-kernel on x86-64 and an autovectorized portable fallback; the M
-// dimension is split across the geonas::hpc kernel pool above a flops
-// threshold, so POD correlation matrices (Ns x Ns with Ns ~ 500) and
-// whole-sequence LSTM projections parallelize while tiny NAS-cell
-// matmuls stay serial. gemm_raw exposes the strided (leading-dimension)
+// GEMM (see tensor/gemm_kernel.hpp) with a runtime-dispatched AVX-512F
+// or AVX2+FMA micro-kernel on x86-64 and an autovectorized portable
+// fallback; the M dimension is split across the geonas::hpc kernel pool
+// above a flops threshold, so POD correlation matrices (Ns x Ns with
+// Ns ~ 500) and whole-sequence LSTM projections parallelize while tiny
+// NAS-cell matmuls stay serial. gemm_raw exposes the strided (leading-dimension)
 // form so recurrent layers can run per-timestep slab updates in place
 // with zero allocation.
 #pragma once
@@ -21,6 +21,10 @@ namespace geonas {
 
 namespace tensor {
 class PackedPanels;
+
+/// Active GEMM micro-kernel tier: "avx512f", "avx2-fma" or "portable"
+/// (selected once at runtime; see tensor/gemm_kernel.hpp).
+[[nodiscard]] const char* gemm_kernel_name() noexcept;
 }  // namespace tensor
 
 /// Transpose selector for gemm_raw (op(X) = X or X^T).

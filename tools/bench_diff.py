@@ -25,11 +25,13 @@ Benchmarks present in only one capture are classified, not ignored:
            baseline refresh.
 
 Captures carry the host shape they were measured on (context fields
-geonas_host_cpus / geonas_kernel_threads / geonas_native_arch, stamped
-by the bench mains). When both captures carry a field and the values
-differ, the comparison is REFUSED: cross-host medians gate nothing.
---allow-host-mismatch overrides for eyeballing; captures predating the
-stamping simply lack the fields and are not blocked.
+geonas_host_cpus / geonas_kernel_threads / geonas_native_arch) and the
+kernel tiers the runtime dispatch selected (geonas_gemm_kernel /
+geonas_vmath_backend), stamped by the bench mains. When both captures
+carry a field and the values differ, the comparison is REFUSED:
+cross-host or cross-tier medians gate nothing. --allow-host-mismatch
+overrides for eyeballing; captures predating the stamping simply lack
+the fields and are not blocked.
 
 The failing bound is noise-aware: each benchmark's gate is
 
@@ -64,12 +66,14 @@ from pathlib import Path
 
 Stats = dict[str, tuple[float, float]]
 
-# Host-shape context fields stamped by the bench mains
+# Host-shape and kernel-tier context fields stamped by the bench mains
 # (bench/bench_host_context.hpp). Two captures are only comparable when
-# these agree: medians move with core count, kernel thread pinning, and
-# the -march the kernels were tuned for.
+# these agree: medians move with core count, kernel thread pinning, the
+# -march the kernels were tuned for, and the GEMM / vmath tier the
+# runtime dispatch picked (an AVX-512 GEMM is not an AVX2 one).
 HOST_KEYS = ("geonas_host_cpus", "geonas_kernel_threads",
-             "geonas_native_arch")
+             "geonas_native_arch", "geonas_gemm_kernel",
+             "geonas_vmath_backend")
 
 
 def load_capture(path: Path) -> tuple[Stats, dict[str, str]]:
@@ -193,6 +197,12 @@ def self_check() -> list[str]:
            "identical hosts reported as mismatched")
     expect(host_mismatches({}, this_host) == [],
            "unstamped baseline blocked by host check")
+    # Same machine shape, different GEMM tier: refused like a host change.
+    avx2_tier = dict(this_host, geonas_gemm_kernel="avx2-fma")
+    avx512_tier = dict(this_host, geonas_gemm_kernel="avx512f")
+    expect([m[0] for m in host_mismatches(avx2_tier, avx512_tier)]
+           == ["geonas_gemm_kernel"],
+           "kernel tier mismatch not detected")
     return failures
 
 
@@ -218,8 +228,8 @@ def main(argv: list[str]) -> int:
                         help="compare captures from different hosts "
                              "anyway (the refusal exists because medians "
                              "move with core count / kernel threads / "
-                             "-march; only meaningful for eyeballing, "
-                             "never for the gate)")
+                             "-march / kernel tier; only meaningful for "
+                             "eyeballing, never for the gate)")
     parser.add_argument("--dry-run", action="store_true",
                         help="run the comparator self-check, then self-diff "
                              "the baseline to validate the capture; never "
@@ -250,14 +260,14 @@ def main(argv: list[str]) -> int:
     mismatches = host_mismatches(base_host, cand_host)
     if mismatches:
         for key, base_val, cand_val in mismatches:
-            print(f"bench_diff: host mismatch: {key}: baseline "
+            print(f"bench_diff: host/kernel mismatch: {key}: baseline "
                   f"{base_val!r} vs candidate {cand_val!r}",
                   file=sys.stderr)
         if not args.allow_host_mismatch:
             print("bench_diff: refusing a cross-host comparison — medians "
-                  "from different machines/kernel configs are not "
-                  "comparable (pass --allow-host-mismatch to eyeball "
-                  "anyway)", file=sys.stderr)
+                  "from different machines, kernel configs or kernel tiers "
+                  "are not comparable (pass --allow-host-mismatch to "
+                  "eyeball anyway)", file=sys.stderr)
             return 1
         print("bench_diff: continuing despite host mismatch "
               "(--allow-host-mismatch)", file=sys.stderr)

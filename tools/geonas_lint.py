@@ -92,6 +92,15 @@ Rules (see DESIGN.md "Correctness tooling"):
                        Tests and tools use the wrappers too, but are not
                        linted (they may exercise failure modes directly).
 
+  isa-target-outside-tensor
+                       __attribute__((target(...))), #pragma GCC target,
+                       or an x86 intrinsics header (<immintrin.h> and the
+                       other <*intrin.h>) anywhere outside src/tensor/.
+                       ISA-specific code and its runtime dispatch live in
+                       the kernel layer (the GEMM tiers, the vmath
+                       backends), where the cross-tier bitwise tests
+                       cover them; everything else calls those kernels.
+
   float-eq-in-tests    EXPECT_EQ/ASSERT_EQ with a floating-point literal
                        as a top-level macro argument in tests/ — compare
                        with EXPECT_NEAR / EXPECT_DOUBLE_EQ, or suppress
@@ -152,6 +161,11 @@ HOT_PATH_ALLOC_RE = re.compile(
 FORWARD_MATH_RE = re.compile(
     r"\bgemm_raw\s*\(|(?:\btensor::)?\b\w*_pointwise_\w*\s*\(")
 CHRONO_RE = re.compile(r"std::chrono\b|#\s*include\s*<chrono>")
+# ISA-specific compilation: per-function target attributes, target
+# pragmas, and the x86 intrinsics headers.
+ISA_TARGET_RE = re.compile(
+    r"__attribute__\s*\(\(\s*target\s*\(|#\s*pragma\s+GCC\s+target\b"
+    r"|#\s*include\s*<\w*intrin\.h>")
 # BSD socket surface: headers plus the global-namespace syscalls. The ::
 # prefix keeps method calls like conn.bind(...) from matching.
 SOCKET_HEADER_RE = re.compile(
@@ -309,6 +323,7 @@ def lint_file(path: Path, repo: Path) -> list[Finding]:
     in_obs = rel_str.startswith("src/obs/")
     in_nn = rel_str.startswith("src/nn/")
     in_serve = rel_str.startswith("src/serve/")
+    in_tensor = rel_str.startswith("src/tensor/")
     is_reporting = rel_str.startswith("src/core/reporting.")
 
     raw_text = path.read_text(encoding="utf-8")
@@ -429,6 +444,14 @@ def lint_file(path: Path, repo: Path) -> list[Finding]:
                        f"'{m.group(0).strip()}' in src/serve/ — call the "
                        "layers' forward kernels (nn/forward_kernels.hpp) "
                        "instead of re-implementing their math")
+
+        if not in_tensor:
+            m = ISA_TARGET_RE.search(code)
+            if m:
+                report("isa-target-outside-tensor",
+                       f"'{m.group(0).strip()}' outside src/tensor/ — "
+                       "ISA-specific kernels and their dispatch belong in "
+                       "the kernel layer; call tensor:: kernels instead")
 
         if in_nn:
             m = TRANSCENDENTAL_RE.search(code)

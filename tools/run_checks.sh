@@ -9,7 +9,8 @@
 #                                  run + release alloc audit + ASan+UBSan
 #                                  tier-1 suite + TSan over the threaded
 #                                  kernel layer (determinism + vmath +
-#                                  hpc stress + memoizer + serve suites)
+#                                  blocked GEMM + hpc stress + memoizer +
+#                                  serve suites)
 #                                  + a one-TU thread-safety smoke
 #   tools/run_checks.sh --analyze  just the Clang Thread Safety Analysis
 #                                  build (cmake --preset analyze with
@@ -136,8 +137,11 @@ if [[ $quick -eq 1 ]]; then
   # Prepack* covers packed-panel consumption from pool workers (the
   # panels are shared read-only across GEMM worker threads); Net* runs
   # the master poll loop against concurrent in-process worker threads.
+  # BlockedGemm* runs the GEMM's M-split with every tile height, so the
+  # per-tile parallel_for grain and the thread-local pack scratch are
+  # exercised from pool workers.
   run_flavor tsan \
-    '^(Determinism|Vmath|ParallelFor|ThreadPool|Obs|Memoizer|Serve|Prepack|Net)'
+    '^(Determinism|Vmath|ParallelFor|ThreadPool|Obs|Memoizer|Serve|Prepack|Net|BlockedGemm)'
   run_analyze_smoke
 else
   run_flavor tsan
