@@ -24,6 +24,7 @@
 #include "searchspace/space.hpp"
 #include "search/aging_evolution.hpp"
 #include "tensor/blas.hpp"
+#include "tensor/linalg.hpp"
 #include "tensor/prepack.hpp"
 #include "tensor/random.hpp"
 #include "tensor/vmath.hpp"
@@ -567,6 +568,20 @@ void BM_PodFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PodFit)->Arg(64)->Arg(128);
+
+// The POD fit's eigensolve on its own, on a seeded n x n Gram matrix
+// S^T S: the method-of-snapshots correlation shape (n = 427 at quick
+// scale).
+void BM_EigenSymmetric(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Matrix snaps = random_matrix(2000, n, 11);
+  const Matrix gram = matmul_at_b(snaps, snaps);
+  for (auto _ : state) {
+    const EigenResult e = eigen_symmetric(gram);
+    benchmark::DoNotOptimize(e.eigenvectors.flat().data());
+  }
+}
+BENCHMARK(BM_EigenSymmetric)->Arg(64)->Arg(200)->Arg(427);
 
 void BM_SyntheticSnapshot(benchmark::State& state) {
   const data::Grid grid = data::Grid::reduced();

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <span>
 
 #include "pod/pod.hpp"
 #include "tensor/blas.hpp"
@@ -28,6 +31,28 @@ Matrix synthetic_snapshots(std::size_t nh, std::size_t ns, std::size_t rank,
   Matrix s = matmul(u, v);
   for (double& x : s.flat()) x += noise * rng.normal();
   return s;
+}
+
+/// FNV-1a over the bytes of a double sequence.
+std::uint64_t fnv1a(std::span<const double> values) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const double d : values) {
+    unsigned char bytes[sizeof d];
+    std::memcpy(bytes, &d, sizeof d);
+    for (const unsigned char b : bytes) h = (h ^ b) * 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(POD, GoldenHashOnSeededSnapshots) {
+  // Captured before the Jacobi eigensolver deferred its column rotations:
+  // the basis and spectrum of a 150-snapshot fit must keep every bit.
+  Rng rng(600);
+  const Matrix s = synthetic_snapshots(600, 150, 12, 0.1, rng);
+  pod::POD p;
+  p.fit(s, {.num_modes = 10});
+  EXPECT_EQ(fnv1a(p.eigenvalues()), 0x56fa4c683b16a4a1ULL);
+  EXPECT_EQ(fnv1a(p.basis().flat()), 0xfc2037f558e4a04dULL);
 }
 
 TEST(POD, RejectsBadArguments) {

@@ -3,7 +3,8 @@
 #
 #   tools/run_checks.sh            full rig: lint, bench-gate dry run,
 #                                  release alloc audit, ASan+UBSan ctest,
-#                                  TSan ctest, thread-safety analyze
+#                                  TSan ctest, -march=native golden and
+#                                  bitwise suites, thread-safety analyze
 #                                  build, release build + clang-tidy
 #   tools/run_checks.sh --quick    pre-merge gate: lint + bench-gate dry
 #                                  run + release alloc audit + ASan+UBSan
@@ -34,7 +35,7 @@ while [[ $# -gt 0 ]]; do
     --quick) quick=1 ;;
     --analyze) analyze_only=1 ;;
     --jobs) jobs="$2"; shift ;;
-    -h|--help) sed -n '2,17p' "$0"; exit 0 ;;
+    -h|--help) sed -n '2,18p' "$0"; exit 0 ;;
     *) echo "run_checks: unknown argument: $1" >&2; exit 2 ;;
   esac
   shift
@@ -145,6 +146,18 @@ if [[ $quick -eq 1 ]]; then
   run_analyze_smoke
 else
   run_flavor tsan
+  # GEONAS_NATIVE_ARCH=ON lets GCC use FMA and wider vectors in
+  # geonas_tensor. The golden-hash and cross-tier bitwise suites whose
+  # kernels are built with -ffp-contract=off (the Jacobi solver under
+  # POD, the blocked GEMM) must keep their bits there. Not in the filter
+  # yet: VmathGru.BackwardStagesMatchReferenceLoop and
+  # SST.RecordMatchesGoldenHash fail under -march=native, because GCC
+  # contracts multiply-adds in the geonas_tensor code they pin.
+  # -ffp-contract=off on the whole library mends both, but it also
+  # changes the default build's campaign_train trajectory (the AVX2+FMA
+  # vmath kernels are contracted today), so that waits for per-function
+  # fixes (ROADMAP item 4).
+  run_flavor native '(^|/)(Eigen|POD|PodSweep|BlockedGemm)'
   run_analyze
 
   step "configure+build [release] (clang-tidy compilation database)"
