@@ -597,6 +597,23 @@ void BM_SyntheticSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticSnapshot);
 
+// prepare()'s chunk shape: the quick-scale ocean cells over a batch of
+// weeks, the E W eddy GEMM amortized over the batch.
+void BM_SyntheticSnapshots(benchmark::State& state) {
+  const auto weeks = static_cast<std::size_t>(state.range(0));
+  const data::LandMask mask(data::Grid::reduced(), 7);
+  const data::SyntheticSST sst;
+  std::size_t week0 = 0;
+  for (auto _ : state) {
+    const Matrix s = sst.snapshots(mask, week0, weeks);
+    week0 = (week0 + weeks) % (1914 - weeks);
+    benchmark::DoNotOptimize(s.flat().data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(mask.ocean_count() * weeks));
+}
+BENCHMARK(BM_SyntheticSnapshots)->Arg(64);
+
 void BM_SpaceMutate(benchmark::State& state) {
   const searchspace::StackedLSTMSpace space;
   Rng rng(8);

@@ -46,20 +46,19 @@ int main() {
   const data::HYCOMSurrogate hycom(pipeline.sst());
   const data::CESMSurrogate cesm(pipeline.sst());
 
-  // Cache the truth/comparator regional fields per week.
+  // Cache the truth/comparator regional fields per week, each generated
+  // as one batch over the whole range.
   const std::size_t weeks = w1 + 1 - w0;
+  const Matrix truth = pipeline.sst().snapshots(pipeline.mask(), w0, weeks);
+  const Matrix hy = hycom.snapshots(pipeline.mask(), w0, weeks);
+  const Matrix ce = cesm.snapshots(pipeline.mask(), w0, weeks);
   std::vector<std::vector<double>> truth_ep(weeks), hycom_ep(weeks),
       cesm_ep(weeks);
-  const auto& grid = pipeline.mask().grid();
   for (std::size_t i = 0; i < weeks; ++i) {
-    const std::size_t week = w0 + i;
-    const auto truth = pipeline.truth_field(week);
-    const auto hy = pipeline.mask().flatten(hycom.field(grid, week));
-    const auto ce = pipeline.mask().flatten(cesm.field(grid, week));
     for (std::size_t pos : ep) {
-      truth_ep[i].push_back(truth[pos]);
-      hycom_ep[i].push_back(hy[pos]);
-      cesm_ep[i].push_back(ce[pos]);
+      truth_ep[i].push_back(truth(pos, i));
+      hycom_ep[i].push_back(hy(pos, i));
+      cesm_ep[i].push_back(ce(pos, i));
     }
   }
 

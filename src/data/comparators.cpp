@@ -2,20 +2,16 @@
 
 #include <cmath>
 #include <numbers>
+#include <span>
+#include <vector>
 
 #include "data/hash_normal.hpp"
 
 namespace geonas::data {
 
 namespace {
-Matrix collect_snapshots(const auto& model, const LandMask& mask,
-                         std::size_t week0, std::size_t count) {
-  Matrix s(mask.ocean_count(), count);
-  for (std::size_t c = 0; c < count; ++c) {
-    const auto full = model.field(mask.grid(), week0 + c);
-    s.set_col(c, mask.flatten(full));
-  }
-  return s;
+std::vector<double> flat_copy(const Matrix& s) {
+  return {s.flat().begin(), s.flat().end()};
 }
 }  // namespace
 
@@ -34,7 +30,8 @@ double CESMSurrogate::bias(double lat, double lon) const noexcept {
          1.0;
 }
 
-double CESMSurrogate::value(double lat, double lon, std::size_t week) const {
+double CESMSurrogate::compose(double lat, double lon, std::size_t week,
+                              double eddy) const {
   const auto t = static_cast<double>(week);
   const SyntheticSST& truth = *truth_;
   const double enso_own =
@@ -47,42 +44,51 @@ double CESMSurrogate::value(double lat, double lon, std::size_t week) const {
       truth.tele_index(t + opts_.enso_phase_offset) * truth.tele_pattern(lat, lon);
   double temp = truth.climatology(lat) +
                 truth.seasonal(lat, lon, t, opts_.seasonal_phase_error_weeks) +
-                truth.trend(lat, t) + enso_own + tele_own +
-                truth.eddy(lat, lon, t, opts_.seed) + bias(lat, lon);
+                truth.trend(lat, t) + enso_own + tele_own + eddy +
+                bias(lat, lon);
   const auto qlat = static_cast<std::uint64_t>((lat + 90.0) * 16.0);
   const auto qlon = static_cast<std::uint64_t>(lon * 16.0);
   temp += opts_.noise_sigma * hash_normal(opts_.seed, week, qlat, qlon);
   return std::max(temp, -1.9);
 }
 
-std::vector<double> CESMSurrogate::field(const Grid& grid,
-                                         std::size_t week) const {
-  std::vector<double> out(grid.cells());
-  for (std::size_t i = 0; i < grid.nlat; ++i) {
-    const double lat = grid.lat_of(i);
-    for (std::size_t j = 0; j < grid.nlon; ++j) {
-      out[grid.index(i, j)] = value(lat, grid.lon_of(j), week);
+double CESMSurrogate::value(double lat, double lon, std::size_t week) const {
+  return compose(lat, lon, week,
+                 truth_->eddy(lat, lon, static_cast<double>(week), opts_.seed));
+}
+
+Matrix CESMSurrogate::values(std::span<const LatLon> points, std::size_t week0,
+                             std::size_t count) const {
+  Matrix s = truth_->eddies(points, week0, count, opts_.seed);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t c = 0; c < count; ++c) {
+      s(i, c) = compose(points[i].lat, points[i].lon, week0 + c, s(i, c));
     }
   }
-  return out;
+  return s;
+}
+
+std::vector<double> CESMSurrogate::field(const Grid& grid,
+                                         std::size_t week) const {
+  return flat_copy(values(grid_points(grid), week, 1));
 }
 
 Matrix CESMSurrogate::snapshots(const LandMask& mask, std::size_t week0,
                                 std::size_t count) const {
-  return collect_snapshots(*this, mask, week0, count);
+  return values(mask.ocean_points(), week0, count);
 }
 
 HYCOMSurrogate::HYCOMSurrogate(const SyntheticSST& truth, HYCOMOptions options)
     : truth_(&truth), opts_(options) {}
 
-double HYCOMSurrogate::value(double lat, double lon, std::size_t week) const {
+double HYCOMSurrogate::compose(double lat, double lon, std::size_t week,
+                               double truth, double eddy) const {
   const auto t = static_cast<double>(week);
   // Forecast error: an independent smooth wave field (position/timing
   // errors in the mesoscale forecast) plus interpolation noise and a small
   // systematic bias.
-  const double err = truth_->eddy(lat, lon, t, opts_.seed) *
-                     (opts_.error_wave_amplitude /
-                      std::max(truth_->options().eddy_amplitude, 1e-9));
+  const double err = eddy * (opts_.error_wave_amplitude /
+                             std::max(truth_->options().eddy_amplitude, 1e-9));
   // Climate-mode mistiming: the forecast tracks the chaotic indices with a
   // lag (its data assimilation trails the real evolution).
   const double enso_err =
@@ -97,24 +103,35 @@ double HYCOMSurrogate::value(double lat, double lon, std::size_t week) const {
   const auto qlon = static_cast<std::uint64_t>(lon * 16.0);
   const double noise =
       opts_.noise_sigma * hash_normal(opts_.seed, week, qlat, qlon);
-  return truth_->value(lat, lon, week) + err + enso_err + opts_.bias + noise;
+  return truth + err + enso_err + opts_.bias + noise;
+}
+
+double HYCOMSurrogate::value(double lat, double lon, std::size_t week) const {
+  return compose(lat, lon, week, truth_->value(lat, lon, week),
+                 truth_->eddy(lat, lon, static_cast<double>(week), opts_.seed));
+}
+
+Matrix HYCOMSurrogate::values(std::span<const LatLon> points,
+                              std::size_t week0, std::size_t count) const {
+  Matrix s = truth_->values(points, week0, count);
+  const Matrix eddy = truth_->eddies(points, week0, count, opts_.seed);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t c = 0; c < count; ++c) {
+      s(i, c) = compose(points[i].lat, points[i].lon, week0 + c, s(i, c),
+                        eddy(i, c));
+    }
+  }
+  return s;
 }
 
 std::vector<double> HYCOMSurrogate::field(const Grid& grid,
                                           std::size_t week) const {
-  std::vector<double> out(grid.cells());
-  for (std::size_t i = 0; i < grid.nlat; ++i) {
-    const double lat = grid.lat_of(i);
-    for (std::size_t j = 0; j < grid.nlon; ++j) {
-      out[grid.index(i, j)] = value(lat, grid.lon_of(j), week);
-    }
-  }
-  return out;
+  return flat_copy(values(grid_points(grid), week, 1));
 }
 
 Matrix HYCOMSurrogate::snapshots(const LandMask& mask, std::size_t week0,
                                  std::size_t count) const {
-  return collect_snapshots(*this, mask, week0, count);
+  return values(mask.ocean_points(), week0, count);
 }
 
 std::size_t HYCOMSurrogate::first_available_week() {

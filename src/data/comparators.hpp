@@ -14,10 +14,14 @@
 //     available Apr 5 2015 - Jun 24 2018.
 // Both surrogates recompose the SyntheticSST truth components with the
 // corresponding error structure, so Table I and Figs 5-7 exercise the same
-// comparisons with the same qualitative outcome.
+// comparisons with the same qualitative outcome. field() and snapshots()
+// take their eddy (and HYCOM's truth) terms from one batched SyntheticSST
+// call each, so they equal value() cell by cell, bit for bit.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "data/calendar.hpp"
 #include "data/sst.hpp"
@@ -46,6 +50,13 @@ class CESMSurrogate {
 
  private:
   [[nodiscard]] double bias(double lat, double lon) const noexcept;
+  /// value() with the realization's eddy term supplied.
+  [[nodiscard]] double compose(double lat, double lon, std::size_t week,
+                               double eddy) const;
+  /// value() at `points` for weeks [week0, week0 + count), bit for bit,
+  /// with the eddy terms from one SyntheticSST::eddies() batch.
+  [[nodiscard]] Matrix values(std::span<const LatLon> points,
+                              std::size_t week0, std::size_t count) const;
 
   const SyntheticSST* truth_;
   CESMOptions opts_;
@@ -81,6 +92,14 @@ class HYCOMSurrogate {
   [[nodiscard]] static std::size_t last_available_week();
 
  private:
+  /// value() with the truth temperature and error-wave eddy supplied.
+  [[nodiscard]] double compose(double lat, double lon, std::size_t week,
+                               double truth, double eddy) const;
+  /// value() at `points` for weeks [week0, week0 + count), bit for bit,
+  /// with the truth and error-wave terms from one batch each.
+  [[nodiscard]] Matrix values(std::span<const LatLon> points,
+                              std::size_t week0, std::size_t count) const;
+
   const SyntheticSST* truth_;
   HYCOMOptions opts_;
 };

@@ -22,6 +22,17 @@ std::size_t Grid::col_of_lon(double lon) const noexcept {
       std::clamp<long>(idx, 0, static_cast<long>(nlon) - 1));
 }
 
+std::vector<LatLon> grid_points(const Grid& grid) {
+  std::vector<LatLon> points;
+  points.reserve(grid.cells());
+  for (std::size_t i = 0; i < grid.nlat; ++i) {
+    for (std::size_t j = 0; j < grid.nlon; ++j) {
+      points.push_back({grid.lat_of(i), grid.lon_of(j)});
+    }
+  }
+  return points;
+}
+
 std::vector<std::size_t> cells_in_region(const Grid& grid,
                                          const Region& region) {
   std::vector<std::size_t> out;

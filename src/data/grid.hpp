@@ -12,6 +12,11 @@
 
 namespace geonas::data {
 
+/// A location in degrees (a cell center, for the batched SST calls).
+struct LatLon {
+  double lat, lon;
+};
+
 struct Grid {
   std::size_t nlat = 180;
   std::size_t nlon = 360;
@@ -58,6 +63,9 @@ struct Region {
     return {-10.0, 10.0, 200.0, 250.0};
   }
 };
+
+/// Cell centers of every cell of `grid`, row-major (Grid::index order).
+[[nodiscard]] std::vector<LatLon> grid_points(const Grid& grid);
 
 /// Grid cell indices (flattened, full grid) inside a region.
 [[nodiscard]] std::vector<std::size_t> cells_in_region(const Grid& grid,

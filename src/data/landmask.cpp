@@ -97,6 +97,16 @@ LandMask::LandMask(const Grid& grid, std::uint64_t seed, double land_fraction)
   }
 }
 
+std::vector<LatLon> LandMask::ocean_points() const {
+  std::vector<LatLon> points;
+  points.reserve(ocean_cells_.size());
+  for (const std::size_t cell : ocean_cells_) {
+    points.push_back(
+        {grid_.lat_of(cell / grid_.nlon), grid_.lon_of(cell % grid_.nlon)});
+  }
+  return points;
+}
+
 std::vector<double> LandMask::flatten(std::span<const double> full) const {
   if (full.size() != grid_.cells()) {
     throw std::invalid_argument("LandMask::flatten: field size mismatch");

@@ -42,6 +42,9 @@ class LandMask {
     return ocean_cells_;
   }
 
+  /// Cell centers of the ocean cells, in ocean_cells() order.
+  [[nodiscard]] std::vector<LatLon> ocean_points() const;
+
   /// Extracts the ocean cells of a full-grid field into an Nh-vector.
   [[nodiscard]] std::vector<double> flatten(
       std::span<const double> full_field) const;

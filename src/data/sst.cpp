@@ -4,12 +4,14 @@
 #include <array>
 #include <cmath>
 #include <numbers>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "data/hash_normal.hpp"
 #include "hpc/parallel_for.hpp"
+#include "tensor/blas.hpp"
 #include "tensor/random.hpp"
 
 namespace geonas::data {
@@ -99,8 +101,6 @@ struct SyntheticSST::CellTerms {
   double trend_weight;
   double enso_pattern;
   double tele_pattern;
-  double eddy_envelope;
-  double u, v;  // lat / 180, lon / 360: the eddy waves' phase coordinates
   std::uint64_t noise_key;
 };
 
@@ -110,7 +110,6 @@ struct SyntheticSST::WeekTerms {
   double tele;   // tele_amplitude * tele_index(t)
   double trend;  // warming per week * t
   std::uint64_t noise_key;
-  const double* waves;  // wave_terms() of the truth bank
 };
 
 SyntheticSST::SyntheticSST(SSTOptions options) : opts_(options) {
@@ -317,47 +316,73 @@ const SyntheticSST::WaveBank& SyntheticSST::waves_for(
   return it->second;
 }
 
-void SyntheticSST::wave_terms(const WaveBank& bank, double week_time,
-                              double* out) {
-  const double t = std::max(0.0, week_time);
-  const std::size_t i0 = record_week(t, "eddy");
-  const double frac = t - static_cast<double>(i0);
-  for (std::size_t m = 0; m < bank.waves.size(); ++m) {
-    const Wave& w = bank.waves[m];
-    const double a = (1.0 - frac) * bank.amp_series[m][i0] +
-                     frac * bank.amp_series[m][i0 + 1];
-    out[2 * m] = a * w.amp;
-    out[2 * m + 1] = w.omega * week_time;
+void SyntheticSST::eddy_product(std::uint64_t realization_seed,
+                                std::span<const LatLon> points,
+                                std::span<const double> times,
+                                double* out) const {
+  const WaveBank& bank = waves_for(
+      realization_seed,
+      times.empty() ? 0 : record_week(std::max(0.0, times.back()), "eddy") + 3);
+  const std::size_t k = 2 * bank.waves.size();
+  const std::size_t count = times.size();
+  // W (k x count), serially: its amplitude reads throw past the horizon.
+  std::vector<double> w(k * count);
+  for (std::size_t c = 0; c < count; ++c) {
+    const double t = std::max(0.0, times[c]);
+    const std::size_t i0 = record_week(t, "eddy");
+    const double frac = t - static_cast<double>(i0);
+    for (std::size_t m = 0; m < bank.waves.size(); ++m) {
+      const Wave& wave = bank.waves[m];
+      const double a = (1.0 - frac) * bank.amp_series[m][i0] +
+                       frac * bank.amp_series[m][i0 + 1];
+      const double b = wave.omega * times[c];
+      w[2 * m * count + c] = a * wave.amp * std::cos(b);
+      w[(2 * m + 1) * count + c] = a * wave.amp * std::sin(b);
+    }
   }
-}
-
-double SyntheticSST::wave_sum(const WaveBank& bank, const double* terms,
-                              double u, double v) noexcept {
-  double acc = 0.0;
-  for (std::size_t m = 0; m < bank.waves.size(); ++m) {
-    const Wave& w = bank.waves[m];
-    acc += terms[2 * m] *
-           std::sin(2.0 * std::numbers::pi * (w.klat * u + w.klon * v) -
-                    terms[2 * m + 1] + w.phase);
-  }
-  return acc;
+  // E (points x k), parallel over points: a sin and a cos (~25 flops
+  // each) per wave and row.
+  std::vector<double> e(points.size() * k);
+  const double cost =
+      25.0 * static_cast<double>(points.size()) * static_cast<double>(k);
+  hpc::parallel_for(0, points.size(), cost, [&](std::size_t lo,
+                                                std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const double env = eddy_envelope(points[i].lat);
+      const double u = points[i].lat / 180.0;
+      const double v = points[i].lon / 360.0;
+      double* row = e.data() + i * k;
+      for (std::size_t m = 0; m < bank.waves.size(); ++m) {
+        const Wave& wave = bank.waves[m];
+        const double phase =
+            2.0 * std::numbers::pi * (wave.klat * u + wave.klon * v) +
+            wave.phase;
+        row[2 * m] = env * std::sin(phase);
+        row[2 * m + 1] = -env * std::cos(phase);
+      }
+    }
+  });
+  // Outside any parallel region, so the GEMM splits its rows itself.
+  gemm_raw(Trans::kNone, Trans::kNone, points.size(), count, k, 1.0,
+           e.data(), k, w.data(), count, 0.0, out, count);
 }
 
 double SyntheticSST::eddy(double lat, double lon, double week_time,
                           std::uint64_t realization_seed) const {
-  const double t = std::max(0.0, week_time);
-  const WaveBank& bank =
-      waves_for(realization_seed, record_week(t, "eddy") + 3);
-  std::vector<double> terms(2 * bank.waves.size());
-  wave_terms(bank, week_time, terms.data());
-  return eddy_envelope(lat) *
-         wave_sum(bank, terms.data(), lat / 180.0, lon / 360.0);
+  const LatLon point{lat, lon};
+  double out = 0.0;
+  eddy_product(realization_seed, {&point, 1}, {&week_time, 1}, &out);
+  return out;
 }
 
-double SyntheticSST::noise(double lat, double lon, std::size_t week) const {
-  return opts_.noise_sigma *
-         normal_from_key(hash_combine(hash_combine(opts_.seed, week),
-                                      noise_cell_key(lat, lon)));
+Matrix SyntheticSST::eddies(std::span<const LatLon> points,
+                            std::size_t week0, std::size_t count,
+                            std::uint64_t realization_seed) const {
+  std::vector<double> times(count);
+  std::iota(times.begin(), times.end(), static_cast<double>(week0));
+  Matrix out(points.size(), count);
+  eddy_product(realization_seed, points, times, out.flat().data());
+  return out;
 }
 
 SyntheticSST::CellTerms SyntheticSST::cell_terms(double lat,
@@ -367,29 +392,11 @@ SyntheticSST::CellTerms SyntheticSST::cell_terms(double lat,
           .trend_weight = trend_weight(lat),
           .enso_pattern = enso_pattern(lat, lon),
           .tele_pattern = tele_pattern(lat, lon),
-          .eddy_envelope = eddy_envelope(lat),
-          .u = lat / 180.0,
-          .v = lon / 360.0,
           .noise_key = noise_cell_key(lat, lon)};
 }
 
-SyntheticSST::WeekTerms SyntheticSST::week_terms(std::size_t week,
-                                                 double* waves) const {
-  WeekTerms terms;
-  terms.t = static_cast<double>(week);
-  terms.enso = opts_.enso_amplitude * enso_index(terms.t);
-  terms.tele = opts_.tele_amplitude * tele_index(terms.t);
-  terms.trend = trend_per_week(opts_) * terms.t;
-  terms.noise_key = hash_combine(opts_.seed, week);
-  wave_terms(truth_bank_, terms.t, waves);
-  terms.waves = waves;
-  return terms;
-}
-
-double SyntheticSST::compose(const CellTerms& cell,
-                             const WeekTerms& week) const noexcept {
-  const double eddy = cell.eddy_envelope *
-                      wave_sum(truth_bank_, week.waves, cell.u, cell.v);
+double SyntheticSST::compose(const CellTerms& cell, const WeekTerms& week,
+                             double eddy) const noexcept {
   const double noise =
       opts_.noise_sigma *
       normal_from_key(hash_combine(week.noise_key, cell.noise_key));
@@ -402,63 +409,55 @@ double SyntheticSST::compose(const CellTerms& cell,
 }
 
 double SyntheticSST::value(double lat, double lon, std::size_t week) const {
-  std::vector<double> waves(2 * truth_bank_.waves.size());
-  return compose(cell_terms(lat, lon), week_terms(week, waves.data()));
-}
-
-void SyntheticSST::generate(const std::vector<CellTerms>& cells,
-                            std::size_t week0, std::size_t count,
-                            double* out) const {
-  // Week terms are cheap and may throw (past the horizon): build them
-  // serially, so the parallel region only reads.
-  const std::size_t per_week = 2 * truth_bank_.waves.size();
-  std::vector<double> waves(count * per_week);
-  std::vector<WeekTerms> weeks;
-  weeks.reserve(count);
-  for (std::size_t c = 0; c < count; ++c) {
-    weeks.push_back(week_terms(week0 + c, waves.data() + c * per_week));
-  }
-  // ~25 flops per transcendental: one sin per wave plus about eight more
-  // (seasonal cosines, noise log/sqrt/cos) per entry.
-  const double cost = 25.0 * static_cast<double>(cells.size()) *
-                      static_cast<double>(count) *
-                      static_cast<double>(truth_bank_.waves.size() + 8);
-  hpc::parallel_for(0, count, cost, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      double* row = out + i * count;
-      for (std::size_t c = lo; c < hi; ++c) {
-        row[c] = compose(cells[i], weeks[c]);
-      }
-    }
-  });
+  const LatLon point{lat, lon};
+  return values({&point, 1}, week, 1)(0, 0);
 }
 
 std::vector<double> SyntheticSST::field(const Grid& grid,
                                         std::size_t week) const {
-  std::vector<CellTerms> cells;
-  cells.reserve(grid.cells());
-  for (std::size_t i = 0; i < grid.nlat; ++i) {
-    const double lat = grid.lat_of(i);
-    for (std::size_t j = 0; j < grid.nlon; ++j) {
-      cells.push_back(cell_terms(lat, grid.lon_of(j)));
-    }
-  }
-  std::vector<double> out(grid.cells());
-  generate(cells, week, 1, out.data());
-  return out;
+  const Matrix s = values(grid_points(grid), week, 1);
+  return {s.flat().begin(), s.flat().end()};
 }
 
 Matrix SyntheticSST::snapshots(const LandMask& mask, std::size_t week0,
                                std::size_t count) const {
-  const Grid& grid = mask.grid();
-  std::vector<CellTerms> cells;
-  cells.reserve(mask.ocean_count());
-  for (const std::size_t cell : mask.ocean_cells()) {
-    cells.push_back(cell_terms(grid.lat_of(cell / grid.nlon),
-                               grid.lon_of(cell % grid.nlon)));
+  return values(mask.ocean_points(), week0, count);
+}
+
+Matrix SyntheticSST::values(std::span<const LatLon> points,
+                            std::size_t week0, std::size_t count) const {
+  // Week terms are cheap and may throw (past the horizon): build them
+  // serially, so the parallel regions only read.
+  std::vector<WeekTerms> weeks;
+  std::vector<double> times;
+  for (std::size_t c = 0; c < count; ++c) {
+    const double t = static_cast<double>(week0 + c);
+    weeks.push_back({.t = t,
+                     .enso = opts_.enso_amplitude * enso_index(t),
+                     .tele = opts_.tele_amplitude * tele_index(t),
+                     .trend = trend_per_week(opts_) * t,
+                     .noise_key = hash_combine(opts_.seed, week0 + c)});
+    times.push_back(t);
   }
-  Matrix s(mask.ocean_count(), count);
-  generate(cells, week0, count, s.flat().data());
+  Matrix s(points.size(), count);
+  // flat() bumps the version counter: take the pointer once, not per task.
+  double* const out = s.flat().data();
+  eddy_product(opts_.seed, points, times, out);
+  // compose() overwrites each eddy value with the temperature, a row per
+  // cell: ~12 transcendentals for the cell terms, then ~8 per entry
+  // (seasonal cosines, noise log/sqrt/cos), ~25 flops each.
+  const double cost = 25.0 * static_cast<double>(points.size()) *
+                      (12.0 + 8.0 * static_cast<double>(count));
+  hpc::parallel_for(0, points.size(), cost, [&](std::size_t lo,
+                                                std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const CellTerms cell = cell_terms(points[i].lat, points[i].lon);
+      double* row = out + i * count;
+      for (std::size_t c = 0; c < count; ++c) {
+        row[c] = compose(cell, weeks[c], row[c]);
+      }
+    }
+  });
   return s;
 }
 

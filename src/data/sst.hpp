@@ -25,22 +25,43 @@
 // limit.
 //
 // Evaluation. Each term splits into a per-cell part (climatology,
-// seasonal amplitude and lag, mode patterns, eddy envelope, noise cell
-// key) and a per-week part (climate indices, trend, eddy amplitudes and
-// wave phases), and one compose step combines them in a fixed operation
-// order. value() composes one cell; field() and snapshots() compute the
-// cell terms once per call (snapshots(): ocean cells only) and split the
-// weeks across the kernel pool (hpc::parallel_for). Results are bitwise
-// identical at every kernel thread count and to value() cell by cell.
+// seasonal amplitude and lag, mode patterns, noise cell key) and a
+// per-week part (climate indices, trend, noise week key), and one compose
+// step combines them in a fixed operation order. The eddy bank is a
+// product: with A_m = 2pi(k_lat u + k_lon v) + phi_m per cell and
+// B_m = omega_m t per week, sin(A_m - B_m) = sin A_m cos B_m -
+// cos A_m sin B_m, so the eddy field of a batch is E W with
+//   E (cells x 2M): row i = (env_i sin A_m, -env_i cos A_m) per wave m,
+//   W (2M x weeks): column c = (a_m(t) amp_m cos B_m,
+//                               a_m(t) amp_m sin B_m) per wave m,
+// computed by one tensor GEMM straight into the output, which compose
+// then overwrites with the full temperature (cell-parallel). value(),
+// field(), snapshots(), values() and the eddy() / eddies() of every
+// realization run this one kernel; value() and eddy() are its one-cell
+// case. The GEMM's bitwise contract (tensor/gemm_kernel.hpp: an element's
+// bits do not depend on M, N, tile height or thread count) makes every
+// batch bitwise identical to value() cell by cell, at every kernel thread
+// count. Bits are those of the host's GEMM tier: the FMA tiers (avx512f,
+// avx2-fma) agree with each other; the portable tier differs in the last
+// bits.
 //
-// Thread safety. value(), field(), snapshots() and the truth-realization
-// components only read after construction and may be called
-// concurrently. eddy() with a seed other than options().seed (the
-// comparator surrogates' own realizations) lazily builds and extends that
-// realization's bank; those calls are single-threaded.
+// Record version. kSSTRecordVersion names the record's bits. Version 1
+// summed one libm sin per wave of a phase rounded as omega t - (...);
+// version 2 is the E W product above (at most 1.1e-13 deg C from
+// version 1 over the quick-scale record).
+// Anything that stores or compares records across processes should carry
+// the version.
+//
+// Thread safety. value(), field(), snapshots(), values() and the
+// truth-realization components only read after construction and may be
+// called concurrently. eddy() and eddies() with a seed other than
+// options().seed (the comparator surrogates' own realizations) lazily
+// build and extend that realization's bank; those calls are
+// single-threaded.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -56,6 +77,9 @@ inline constexpr double kWeeksPerYear = 52.1775;
 /// Number of weeks the truth record spans: week times in
 /// [0, kRecordWeeks) are served (the paper's record is 1,914 weeks).
 inline constexpr std::size_t kRecordWeeks = 2998;
+
+/// Version of the record's bits (see "Record version" above).
+inline constexpr int kSSTRecordVersion = 2;
 
 struct SSTOptions {
   std::uint64_t seed = 2020;
@@ -96,6 +120,12 @@ class SyntheticSST {
   [[nodiscard]] Matrix snapshots(const LandMask& mask, std::size_t week0,
                                  std::size_t count) const;
 
+  /// Temperatures at `points` for weeks [week0, week0 + count): row i,
+  /// column c equals value(points[i].lat, points[i].lon, week0 + c) bit
+  /// for bit. The one kernel behind value(), field() and snapshots().
+  [[nodiscard]] Matrix values(std::span<const LatLon> points,
+                              std::size_t week0, std::size_t count) const;
+
   // --- individual components, exposed so the CESM/HYCOM comparator
   // --- surrogates can recompose the field with controlled errors ---
 
@@ -128,8 +158,12 @@ class SyntheticSST {
   /// Non-truth seeds build their bank lazily (not thread-safe).
   [[nodiscard]] double eddy(double lat, double lon, double week_time,
                             std::uint64_t realization_seed) const;
-  /// Hash-based white noise for a given cell/week (truth realization).
-  [[nodiscard]] double noise(double lat, double lon, std::size_t week) const;
+  /// Batched eddy(): row i, column c equals eddy(points[i].lat,
+  /// points[i].lon, week0 + c, realization_seed) bit for bit. Same thread
+  /// safety as eddy().
+  [[nodiscard]] Matrix eddies(std::span<const LatLon> points,
+                              std::size_t week0, std::size_t count,
+                              std::uint64_t realization_seed) const;
 
  private:
   struct Wave {
@@ -151,25 +185,15 @@ class SyntheticSST {
   /// built and grown here to at least `weeks` amplitude samples.
   [[nodiscard]] const WaveBank& waves_for(std::uint64_t realization_seed,
                                           std::size_t weeks) const;
-  /// Per-wave week terms at `week_time`: out[2m] = a_m(t) * amp_m and
-  /// out[2m + 1] = omega_m * t (2 doubles per wave).
-  static void wave_terms(const WaveBank& bank, double week_time,
-                         double* out);
-  /// Sum over the bank's waves at phase coordinates (u, v).
-  [[nodiscard]] static double wave_sum(const WaveBank& bank,
-                                       const double* terms, double u,
-                                       double v) noexcept;
+  /// out[i * times.size() + c] = eddy(points[i], times[c], seed), E W as
+  /// one GEMM (see "Evaluation" above). `times` ascend.
+  void eddy_product(std::uint64_t realization_seed,
+                    std::span<const LatLon> points,
+                    std::span<const double> times, double* out) const;
 
   [[nodiscard]] CellTerms cell_terms(double lat, double lon) const;
-  /// The terms of `week`; its wave terms go to `waves` (2 per wave),
-  /// which must outlive the result.
-  [[nodiscard]] WeekTerms week_terms(std::size_t week, double* waves) const;
-  [[nodiscard]] double compose(const CellTerms& cell,
-                               const WeekTerms& week) const noexcept;
-  /// out[i * count + c] = compose(cells[i], week_terms(week0 + c, ...)):
-  /// the batched kernel behind field() and snapshots(), week-parallel.
-  void generate(const std::vector<CellTerms>& cells, std::size_t week0,
-                std::size_t count, double* out) const;
+  [[nodiscard]] double compose(const CellTerms& cell, const WeekTerms& week,
+                               double eddy) const noexcept;
 
   SSTOptions opts_;
   // Truth realization, built in the constructor and read-only afterwards.

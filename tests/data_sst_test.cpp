@@ -5,16 +5,19 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <numbers>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "data/comparators.hpp"
+#include "data/hash_normal.hpp"
 #include "hpc/parallel_for.hpp"
 #include "data/sst.hpp"
 #include "data/windowing.hpp"
 #include "pod/pod.hpp"
+#include "tensor/random.hpp"
 #include "tensor/stats.hpp"
 
 namespace geonas::data {
@@ -177,12 +180,112 @@ TEST(SST, SnapshotsMatchPerCellValueAtEveryThreadCount) {
 }
 
 TEST(SST, RecordMatchesGoldenHash) {
-  // Weeks 0-435 on a small grid, captured before the batched generator
-  // replaced the per-cell loop; the record must not drift by one bit.
+  // Weeks 0-435 on a small grid, record version 2 (the eddy field as one
+  // E W GEMM); the record must not drift by one bit. These are the bits of
+  // the FMA GEMM tiers (avx512f and avx2-fma agree); the portable tier
+  // rounds differently. Version 1 hashed to 0xf849c9d6bf47ca97.
+  static_assert(kSSTRecordVersion == 2);
   const LandMask mask(Grid{24, 48}, 7);
   const SyntheticSST sst;
   const Matrix s = sst.snapshots(mask, 0, 436);
-  EXPECT_EQ(fnv1a(s.flat()), 0xf849c9d6bf47ca97ULL);
+  EXPECT_EQ(fnv1a(s.flat()), 0x7887de3d4627cd0bULL);
+}
+
+TEST(SST, ChunkedSnapshotsMatchOneBatch) {
+  // prepare() generates the training weeks in one call and the rest in
+  // 64-week chunks; a week's column must not depend on the batch.
+  const LandMask mask(Grid::reduced(), 7);
+  const SyntheticSST sst;
+  const Matrix whole = sst.snapshots(mask, 0, 427);
+  const Matrix chunk = sst.snapshots(mask, 384, 43);
+  const Matrix tail = whole.slice_cols(384, 427);
+  ASSERT_EQ(chunk.rows(), tail.rows());
+  ASSERT_EQ(chunk.cols(), tail.cols());
+  EXPECT_EQ(std::memcmp(chunk.flat().data(), tail.flat().data(),
+                        chunk.size() * sizeof(double)),
+            0);
+}
+
+/// The eddy bank straight from its definition: waves and AR(1) amplitude
+/// factors re-drawn from the generator's streams, summed with one libm
+/// sin per wave.
+class ReferenceEddy {
+ public:
+  ReferenceEddy(const SSTOptions& opts, std::uint64_t seed) {
+    Rng rng(hash_combine(seed, 0xEDD1E5ULL));
+    const double per_wave =
+        opts.eddy_amplitude /
+        std::sqrt(0.5 * static_cast<double>(opts.eddy_waves));
+    const double phi = opts.eddy_ar1;
+    const double innovation_sd =
+        opts.eddy_modulation * std::sqrt(1.0 - phi * phi);
+    for (int m = 0; m < opts.eddy_waves; ++m) {
+      Wave w;
+      w.amp = per_wave * rng.uniform(0.6, 1.4);
+      w.klat = rng.uniform(3.0, 14.0) * (rng.bernoulli(0.5) ? 1.0 : -1.0);
+      w.klon = rng.uniform(5.0, 22.0) * (rng.bernoulli(0.5) ? 1.0 : -1.0);
+      w.omega = 2.0 * std::numbers::pi / rng.uniform(14.0, 90.0);
+      w.phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
+      const std::uint64_t amp_seed = rng.next();
+      double dev = 0.0;
+      for (std::size_t t = 0; t < kRecordWeeks; ++t) {
+        dev = phi * dev +
+              innovation_sd * hash_normal(amp_seed, t, 0xA3ULL, 0x77ULL);
+        w.factor.push_back(1.0 + dev);
+      }
+      waves_.push_back(std::move(w));
+    }
+  }
+
+  [[nodiscard]] double operator()(double lat, double lon,
+                                  std::size_t week) const {
+    const double lat_rad = lat * std::numbers::pi / 180.0;
+    const double env = 0.35 + 0.65 * std::pow(std::sin(2.0 * lat_rad), 2);
+    const double t = static_cast<double>(week);
+    double sum = 0.0;
+    for (const Wave& w : waves_) {
+      const double a = 2.0 * std::numbers::pi *
+                           (w.klat * lat / 180.0 + w.klon * lon / 360.0) +
+                       w.phase;
+      sum += w.factor[week] * w.amp * env * std::sin(a - w.omega * t);
+    }
+    return sum;
+  }
+
+ private:
+  struct Wave {
+    double amp, klat, klon, omega, phase;
+    std::vector<double> factor;  // a_m(t) per record week
+  };
+  std::vector<Wave> waves_;
+};
+
+TEST(SST, EddyProductMatchesWaveSumOverTheRecord) {
+  // sin(A - B) = sin A cos B - cos A sin B turns the wave sum into E W;
+  // check the product against the sum it replaces, for the truth and a
+  // comparator realization, at every record week.
+  const Grid grid{6, 8};
+  const std::vector<LatLon> points = grid_points(grid);
+  const SyntheticSST sst;
+  for (const std::uint64_t seed : {sst.options().seed, std::uint64_t{77}}) {
+    SCOPED_TRACE(::testing::Message() << "realization " << seed);
+    const ReferenceEddy reference(sst.options(), seed);
+    const Matrix e = sst.eddies(points, 0, kRecordWeeks, seed);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      for (std::size_t week = 0; week < kRecordWeeks; ++week) {
+        const double want = reference(points[i].lat, points[i].lon, week);
+        worst = std::max(worst, std::abs(e(i, week) - want));
+      }
+    }
+    EXPECT_NEAR(worst, 0.0, 1e-10);
+    for (const std::size_t week : {0UL, 1UL, 1913UL, kRecordWeeks - 1}) {
+      const std::size_t i = week % points.size();
+      EXPECT_NEAR(sst.eddy(points[i].lat, points[i].lon,
+                           static_cast<double>(week), seed),
+                  reference(points[i].lat, points[i].lon, week), 1e-10);
+    }
+  }
 }
 
 TEST(SST, EddyAmplitudesIndependentOfCallOrder) {
@@ -275,6 +378,49 @@ TEST(Comparators, HycomAvailabilityWindowMatchesPaper) {
             static_cast<std::size_t>(week_of_date(2018, 6, 24)));
   EXPECT_LT(HYCOMSurrogate::first_available_week(),
             HYCOMSurrogate::last_available_week());
+}
+
+/// The full-grid field of `model` at `week`, one value() per cell.
+template <typename Model>
+std::vector<double> per_point_field(const Model& model, const Grid& grid,
+                                    std::size_t week) {
+  std::vector<double> full(grid.cells());
+  for (std::size_t i = 0; i < grid.nlat; ++i) {
+    for (std::size_t j = 0; j < grid.nlon; ++j) {
+      full[grid.index(i, j)] = model.value(grid.lat_of(i), grid.lon_of(j), week);
+    }
+  }
+  return full;
+}
+
+template <typename Model>
+void expect_batches_match_value(const Model& model) {
+  const Grid grid{24, 48};
+  const LandMask mask(grid, 7);
+  const std::size_t week0 = HYCOMSurrogate::first_available_week();
+  constexpr std::size_t kWeeks = 5;
+  const Matrix got = model.snapshots(mask, week0, kWeeks);
+  ASSERT_EQ(got.rows(), mask.ocean_count());
+  ASSERT_EQ(got.cols(), kWeeks);
+  for (std::size_t c = 0; c < kWeeks; ++c) {
+    SCOPED_TRACE(::testing::Message() << "week " << week0 + c);
+    const std::vector<double> full = per_point_field(model, grid, week0 + c);
+    EXPECT_EQ(model.field(grid, week0 + c), full);
+    const std::vector<double> want = mask.flatten(full);
+    std::vector<double> col(want.size());
+    for (std::size_t r = 0; r < col.size(); ++r) col[r] = got(r, c);
+    EXPECT_EQ(col, want);
+  }
+}
+
+TEST(Comparators, CesmBatchesMatchPerPointValue) {
+  const SyntheticSST sst;
+  expect_batches_match_value(CESMSurrogate(sst));
+}
+
+TEST(Comparators, HycomBatchesMatchPerPointValue) {
+  const SyntheticSST sst;
+  expect_batches_match_value(HYCOMSurrogate(sst));
 }
 
 TEST(Comparators, SnapshotShapes) {
