@@ -17,11 +17,10 @@ namespace geonas::core {
 namespace {
 
 constexpr const char* kCheckpointMagic = "GEONASC1";
-// v1: method/seed/history/best/retry counters/method state.
-// v2: + cache hit/miss counters and the memoization cache entries
-//     (between the failure counter and the method state).
+// v2: method/seed/history/best/retry counters, cache hit/miss counters and
+// the memoization cache entries, then the method state. Older versions
+// are refused.
 constexpr std::uint32_t kCheckpointVersion = 2;
-constexpr std::uint32_t kCheckpointMinVersion = 1;
 
 /// Evaluator stack for one campaign: inner evaluator, optionally wrapped
 /// by the retry policy, optionally wrapped by the memoization cache (in
@@ -143,7 +142,7 @@ std::size_t load_search_checkpoint(search::SearchMethod& method,
   if (!is) {
     throw std::runtime_error("load_search_checkpoint: cannot open " + path);
   }
-  io::BinaryReader reader(is, kCheckpointMagic, kCheckpointMinVersion,
+  io::BinaryReader reader(is, kCheckpointMagic, kCheckpointVersion,
                           kCheckpointVersion);
   const std::string name = reader.str("method name", 64);
   if (name != method.name()) {
@@ -177,25 +176,23 @@ std::size_t load_search_checkpoint(search::SearchMethod& method,
   loaded.best_reward = reader.f64("best reward");
   loaded.eval_retries = reader.u64("retry count");
   loaded.eval_failures = reader.u64("failure count");
+  loaded.cache_hits = reader.u64("cache hit count");
+  loaded.cache_misses = reader.u64("cache miss count");
+  const std::uint64_t cached = reader.u64("cache entry count");
+  if (cached > (1ULL << 32)) {
+    throw std::runtime_error(
+        "load_search_checkpoint: implausible cache entry count");
+  }
   std::vector<MemoizingEvaluator::Entry> entries;
-  if (reader.version() >= 2) {
-    loaded.cache_hits = reader.u64("cache hit count");
-    loaded.cache_misses = reader.u64("cache miss count");
-    const std::uint64_t cached = reader.u64("cache entry count");
-    if (cached > (1ULL << 32)) {
-      throw std::runtime_error(
-          "load_search_checkpoint: implausible cache entry count");
-    }
-    entries.reserve(static_cast<std::size_t>(cached));
-    for (std::uint64_t i = 0; i < cached; ++i) {
-      MemoizingEvaluator::Entry entry;
-      entry.key = reader.str("cache key", 4096);
-      entry.outcome.reward = reader.f64("cached reward");
-      entry.outcome.duration_seconds = reader.f64("cached duration");
-      entry.outcome.params = reader.u64("cached params");
-      entry.outcome.failed = reader.u8("cached failed flag") != 0;
-      entries.push_back(std::move(entry));
-    }
+  entries.reserve(static_cast<std::size_t>(cached));
+  for (std::uint64_t i = 0; i < cached; ++i) {
+    MemoizingEvaluator::Entry entry;
+    entry.key = reader.str("cache key", 4096);
+    entry.outcome.reward = reader.f64("cached reward");
+    entry.outcome.duration_seconds = reader.f64("cached duration");
+    entry.outcome.params = reader.u64("cached params");
+    entry.outcome.failed = reader.u8("cached failed flag") != 0;
+    entries.push_back(std::move(entry));
   }
   method.load(reader);
   reader.finish();  // CRC over everything consumed

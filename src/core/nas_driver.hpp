@@ -94,9 +94,9 @@ struct SearchRunOptions {
 
 /// Atomically writes a campaign checkpoint (method state + history +
 /// seed) as a versioned geonas::io container ("GEONASC1", CRC-32
-/// trailer). The method must be checkpointable(). Format v2 appends the
-/// memoization cache; pass the campaign's MemoizingEvaluator (or nullptr
-/// for an empty cache section).
+/// trailer, format v2). The method must be checkpointable(). The file
+/// holds the memoization cache; pass the campaign's MemoizingEvaluator
+/// (or nullptr for an empty cache section).
 void save_search_checkpoint(const search::SearchMethod& method,
                             const LocalSearchResult& state,
                             std::uint64_t seed, const std::string& path,
@@ -106,8 +106,8 @@ void save_search_checkpoint(const search::SearchMethod& method,
 /// completed evaluations. Throws when the file is truncated/corrupt, the
 /// method name differs, or the stored campaign seed != `expected_seed`
 /// (resuming under a different seed would silently fork the trajectory).
-/// Accepts format v1 (pre-memoization) and v2; a v2 cache section is
-/// restored into `memo` when given, consumed and dropped otherwise.
+/// Reads format v2 only; the cache section is restored into `memo` when
+/// given, consumed and dropped otherwise.
 [[nodiscard]] std::size_t load_search_checkpoint(
     search::SearchMethod& method, LocalSearchResult& state,
     std::uint64_t expected_seed, const std::string& path,

@@ -8,7 +8,10 @@
 //    the search method for an architecture through a central coordinator
 //    (FIFO service queue, modeling the DeepHyper/Balsam master), evaluates
 //    it for the duration the evaluator reports, tells the result back, and
-//    immediately asks again. No barriers; utilization stays high.
+//    immediately asks again. No barriers; utilization stays high. The
+//    campaign is an hpc::AsyncCampaign (async_campaign.hpp) that
+//    simulate_async drives with inline evaluations; net::NetMaster drives
+//    the same core over TCP.
 //
 //  * Synchronous RL: 11 agents x W workers. Each round, every worker of
 //    every agent evaluates one policy sample; agents wait for their whole

@@ -1,42 +1,24 @@
 // NetMaster: the real multi-process campaign coordinator.
 //
-// The discrete-event simulator (hpc/cluster_sim.cpp, simulate_async) is
-// this master's specification: a campaign run over TCP sockets must
-// produce the *identical* best-architecture trajectory — same completed
-// evaluations, same simulated completion times, same failure accounting —
-// as simulate_async with the same ClusterConfig. The tests enforce this
-// oracle equivalence bitwise.
-//
-// How a real transport can be deterministic: the master re-derives every
-// scheduling decision in *virtual* time. Remote workers are pure function
-// evaluators — evaluate(arch, eval_seed) is deterministic — so the only
-// thing the network supplies is outcomes; WHEN they arrive and WHICH
-// worker computed them is irrelevant. The master mirrors simulate_async's
-// launch loop draw-for-draw:
-//
-//  * launch(slot, t): coordinator FIFO bookkeeping, one exponential
-//    overhead draw, wall check, method.ask(), eval_seed from the shared
-//    counter, then the failure-fate draws — the exact RNG order of the
-//    simulator. The evaluation itself is shipped to any remote worker.
-//  * An outstanding launch's busy_end becomes known once its outcome
-//    arrives. Completed launches are "popped" in (busy_end, seq) order,
-//    but only when the next pop is *admissible*: its busy_end must not
-//    exceed the start time of any launch whose outcome is still in
-//    flight (an evaluation can never finish before it starts, so no
-//    in-flight launch can beat an admissible pop). Each pop performs
-//    the simulator's tell/record/count step and immediately launches
-//    the slot's next evaluation.
+// The campaign itself is an hpc::AsyncCampaign (hpc/async_campaign.hpp),
+// the same virtual-time core simulate_async drives: it owns the RNG, the
+// coordinator clock, the failure fates, ask/tell and the pop order. The
+// master is only its transport. Each launch the core makes is shipped as
+// a task frame to any idle remote worker; each result frame is delivered
+// back to the core, which pops completions once they are admissible.
+// Remote workers are pure function evaluators — evaluate(arch, eval_seed)
+// is deterministic — so WHEN results arrive and WHICH worker computed them
+// cannot change the trajectory: a campaign over TCP equals simulate_async
+// with the same ClusterConfig by construction, ties included.
 //
 // Worker death is therefore trivially safe: a connection that dies with
 // an assigned task gets its task re-dispatched to any other worker —
 // deterministic evaluation means the retry is bitwise the original.
 // Elastic join/leave only changes real wall time, never the trajectory.
 //
-// Campaign checkpoints (magic "GEONASNC") capture the complete master
-// state — RNG, coordinator clock, eval counter, completed evaluations,
-// failure counts, utilization intervals, outstanding launches, and the
-// search method's own state — so a SIGKILLed or paused campaign resumes
-// to the bitwise-identical final result.
+// Campaign checkpoints (magic "GEONASNC") hold the core's whole state plus
+// the master's join/death/re-dispatch counters, so a SIGKILLed or paused
+// campaign resumes to the bitwise-identical final result.
 #pragma once
 
 #include <atomic>

@@ -23,10 +23,17 @@ void UtilizationTracker::add_busy(double start, double end) {
 
 double UtilizationTracker::utilization_auc() const {
   // The busy-node curve is a step function; its trapezoidal integral is
-  // exactly the summed busy time.
-  double busy = 0.0;
-  for (const auto& [s, e] : intervals_) busy += e - s;
-  return busy / (static_cast<double>(nodes_) * wall_);
+  // exactly the summed busy time. The sum runs in 128-bit fixed point
+  // (units of 2^-64 s, exact for every duration of at least 2^-12 s), and
+  // integer addition does not depend on order: the bits are the same
+  // whatever order the intervals were recorded in, with no sort.
+  __extension__ using Fixed = unsigned __int128;
+  Fixed busy = 0;
+  for (const auto& [s, e] : intervals_) {
+    busy += static_cast<Fixed>((e - s) * 0x1p64);  // exact scaling
+  }
+  return static_cast<double>(busy) * 0x1p-64 /
+         (static_cast<double>(nodes_) * wall_);
 }
 
 std::vector<double> UtilizationTracker::busy_fraction_curve(double dt) const {

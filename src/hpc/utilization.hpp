@@ -21,7 +21,7 @@ class UtilizationTracker {
   void add_busy(double start, double end);
 
   /// AUC(observed busy curve) / AUC(all nodes busy) via the trapezoidal
-  /// rule on the step curve.
+  /// rule on the step curve. Independent of insertion order, bit for bit.
   [[nodiscard]] double utilization_auc() const;
 
   /// Busy-node fraction sampled every `dt` seconds (curve for plots).
@@ -30,9 +30,9 @@ class UtilizationTracker {
   [[nodiscard]] std::size_t nodes() const noexcept { return nodes_; }
   [[nodiscard]] double wall_time() const noexcept { return wall_; }
 
-  /// Recorded (already clipped) busy intervals, in insertion order. The
-  /// net master serializes these into campaign checkpoints so a resumed
-  /// campaign reports the same utilization as an uninterrupted one.
+  /// Recorded (already clipped) busy intervals, in insertion order.
+  /// Campaign checkpoints store these so a resumed campaign reports the
+  /// same utilization as an uninterrupted one.
   [[nodiscard]] const std::vector<std::pair<double, double>>& intervals()
       const noexcept {
     return intervals_;

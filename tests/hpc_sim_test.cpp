@@ -1,7 +1,10 @@
-// Cluster simulator: determinism, the async-vs-synchronous utilization
-// contrast of Table III, evaluation scaling with node count, and the
-// SimResult analysis helpers.
+// Cluster simulator: determinism, golden trajectory digests, the
+// async-vs-synchronous utilization contrast of Table III, evaluation
+// scaling with node count, and the SimResult analysis helpers.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 
 #include "core/surrogate.hpp"
 #include "hpc/cluster_sim.hpp"
@@ -24,6 +27,46 @@ ClusterConfig small_cluster(std::size_t nodes, std::uint64_t seed = 7) {
   return cfg;
 }
 
+FailureModel lossy_model() {
+  FailureModel m;
+  m.crash_prob = 0.05;
+  m.restart_penalty_seconds = 90.0;
+  m.straggler_prob = 0.05;
+  m.straggler_timeout_multiple = 3.0;
+  m.lost_result_prob = 0.05;
+  return m;
+}
+
+/// FNV-1a over every bit of a campaign's trajectory except utilization
+/// (a floating-point sum whose last bits depend on summation order):
+/// each evaluation's completion time, reward, duration, parameter count
+/// and key, the failure counts, the busy curve and the RL round count.
+std::uint64_t trajectory_digest(const SimResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto bytes = [&h](const void* data, std::size_t size) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) h = (h ^ p[i]) * 1099511628211ULL;
+  };
+  const auto u64 = [&bytes](std::uint64_t v) { bytes(&v, sizeof v); };
+  const auto f64 = [&u64](double v) { u64(std::bit_cast<std::uint64_t>(v)); };
+  u64(r.evals.size());
+  for (const CompletedEval& e : r.evals) {
+    f64(e.completed_at);
+    f64(e.reward);
+    f64(e.duration);
+    u64(e.params);
+    u64(e.arch_key.size());
+    bytes(e.arch_key.data(), e.arch_key.size());
+  }
+  u64(r.failures.worker_crashes);
+  u64(r.failures.stragglers_killed);
+  u64(r.failures.lost_results);
+  u64(r.busy_curve.size());
+  for (const double b : r.busy_curve) f64(b);
+  u64(r.rounds);
+  return h;
+}
+
 TEST(ClusterSim, AsyncDeterministicForSeed) {
   const StackedLSTMSpace space;
   SurrogateEvaluator oracle(space);
@@ -39,6 +82,41 @@ TEST(ClusterSim, AsyncDeterministicForSeed) {
     ASSERT_DOUBLE_EQ(a.evals[i].reward, b.evals[i].reward);
     ASSERT_EQ(a.evals[i].arch_key, b.evals[i].arch_key);
   }
+}
+
+// Golden digests of the three simulated campaign kinds. A refactor of the
+// campaign engine must leave every one of these bits where it was.
+TEST(ClusterSimGolden, AsyncAgingEvolutionDigest) {
+  const StackedLSTMSpace space;
+  SurrogateEvaluator oracle(space);
+  AgingEvolution ae(space, {.seed = 3});
+  const SimResult r = simulate_async(ae, oracle, small_cluster(64, 31));
+  EXPECT_EQ(r.num_evaluations(), 648u);
+  EXPECT_EQ(trajectory_digest(r), 0x5b6de35901781585ULL);
+}
+
+TEST(ClusterSimGolden, AsyncRandomSearchUnderFailuresDigest) {
+  const StackedLSTMSpace space;
+  SurrogateEvaluator oracle(space);
+  RandomSearch rs(space, 4);
+  ClusterConfig cfg = small_cluster(64, 32);
+  cfg.failures = lossy_model();
+  const SimResult r = simulate_async(rs, oracle, cfg);
+  EXPECT_EQ(r.num_evaluations(), 451u);
+  EXPECT_EQ(r.failures.total(), 52u);
+  EXPECT_EQ(trajectory_digest(r), 0x1d6c40e9c09bf04bULL);
+}
+
+TEST(ClusterSimGolden, SynchronousRLUnderFailuresDigest) {
+  const StackedLSTMSpace space;
+  SurrogateEvaluator oracle(space);
+  ClusterConfig cfg = small_cluster(128, 33);
+  cfg.wall_time_seconds = 3.0 * 3600.0;
+  cfg.failures = lossy_model();
+  const SimResult r = simulate_rl(space, {.seed = 5}, oracle, cfg);
+  EXPECT_EQ(r.rounds, 19u);
+  EXPECT_EQ(r.failures.total(), 317u);
+  EXPECT_EQ(trajectory_digest(r), 0xe80500fc087e1cc7ULL);
 }
 
 TEST(ClusterSim, EvaluationsOrderedAndWithinWall) {

@@ -1,13 +1,16 @@
 // Oracle equivalence of the TCP transport: a campaign run over real
 // localhost sockets must reproduce the discrete-event simulator's
-// trajectory bitwise — regardless of worker count, join timing, worker
-// death, or pause/resume. Also: elastic membership and kill -9 recovery.
+// trajectory bitwise — regardless of worker count, join timing, tied
+// completion times, worker death, or pause/resume. Also: elastic
+// membership and kill -9 recovery.
 //
 // Every test is guarded by loopback_available(): in a sandbox without
 // even loopback networking the suite skips rather than fails.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <csignal>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <sys/wait.h>
@@ -64,25 +67,32 @@ MasterOptions master_options(const ClusterConfig& cluster) {
   return opts;
 }
 
-/// The oracle contract: identical evaluation sequence (bitwise times,
-/// rewards, keys), identical failure accounting, identical busy curve
-/// (an integer event sweep), utilization equal up to FP summation order.
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// The oracle contract, bit for bit: the same evaluation sequence (times,
+/// rewards, durations, keys), the same failure accounting, the same busy
+/// curve and the same utilization.
 void expect_matches_sim(const SimResult& net, const SimResult& sim) {
   ASSERT_EQ(net.evals.size(), sim.evals.size());
   for (std::size_t i = 0; i < net.evals.size(); ++i) {
-    ASSERT_DOUBLE_EQ(net.evals[i].completed_at, sim.evals[i].completed_at);
-    ASSERT_DOUBLE_EQ(net.evals[i].reward, sim.evals[i].reward);
-    ASSERT_DOUBLE_EQ(net.evals[i].duration, sim.evals[i].duration);
-    ASSERT_EQ(net.evals[i].params, sim.evals[i].params);
-    ASSERT_EQ(net.evals[i].arch_key, sim.evals[i].arch_key);
+    ASSERT_EQ(bits(net.evals[i].completed_at), bits(sim.evals[i].completed_at))
+        << "evaluation " << i;
+    ASSERT_EQ(bits(net.evals[i].reward), bits(sim.evals[i].reward))
+        << "evaluation " << i;
+    ASSERT_EQ(bits(net.evals[i].duration), bits(sim.evals[i].duration))
+        << "evaluation " << i;
+    ASSERT_EQ(net.evals[i].params, sim.evals[i].params) << "evaluation " << i;
+    ASSERT_EQ(net.evals[i].arch_key, sim.evals[i].arch_key)
+        << "evaluation " << i;
   }
   EXPECT_EQ(net.failures.worker_crashes, sim.failures.worker_crashes);
   EXPECT_EQ(net.failures.stragglers_killed, sim.failures.stragglers_killed);
   EXPECT_EQ(net.failures.lost_results, sim.failures.lost_results);
-  EXPECT_NEAR(net.utilization, sim.utilization, 1e-9);
+  EXPECT_EQ(bits(net.utilization), bits(sim.utilization))
+      << net.utilization << " vs " << sim.utilization;
   ASSERT_EQ(net.busy_curve.size(), sim.busy_curve.size());
   for (std::size_t i = 0; i < net.busy_curve.size(); ++i) {
-    ASSERT_DOUBLE_EQ(net.busy_curve[i], sim.busy_curve[i]);
+    ASSERT_EQ(bits(net.busy_curve[i]), bits(sim.busy_curve[i]));
   }
 }
 
@@ -171,6 +181,70 @@ TEST(NetTransport, MatchesSimulatorUnderFailureInjection) {
   const MasterResult got =
       run_campaign(net_method, oracle, master_options(cluster), 2);
 
+  expect_matches_sim(got.sim, expected);
+}
+
+/// The surrogate's rewards with every evaluation taking exactly 600 s, so
+/// many completions share one virtual time.
+class ConstantDurationEvaluator final : public ArchitectureEvaluator {
+ public:
+  explicit ConstantDurationEvaluator(ArchitectureEvaluator& inner)
+      : inner_(&inner) {}
+  [[nodiscard]] EvalOutcome evaluate(const searchspace::Architecture& arch,
+                                     std::uint64_t eval_seed) override {
+    EvalOutcome outcome = inner_->evaluate(arch, eval_seed);
+    outcome.duration_seconds = 600.0;
+    return outcome;
+  }
+  [[nodiscard]] bool thread_safe() const override {
+    return inner_->thread_safe();
+  }
+
+ private:
+  ArchitectureEvaluator* inner_;
+};
+
+TEST(NetTransport, MatchesSimulatorWithTiedCompletionTimes) {
+  // No coordinator service time and no launch overhead: every slot's
+  // evaluations start and end on the same 600 s grid, so each pop breaks
+  // a tie. Both drivers must break it by launch order.
+  SKIP_WITHOUT_LOOPBACK();
+  const StackedLSTMSpace space;
+  SurrogateEvaluator surrogate(space);
+  ConstantDurationEvaluator oracle(surrogate);
+  ClusterConfig cluster = small_cluster(16);
+  cluster.wall_time_seconds = 7200.0;
+  cluster.coordinator_service = 0.0;
+  cluster.launch_overhead_mean = 0.0;
+
+  AgingEvolution sim_method(space,
+                            {.population_size = 10, .sample_size = 3,
+                             .seed = 5});
+  const SimResult expected = simulate_async(sim_method, oracle, cluster);
+  ASSERT_GT(expected.evals.size(), 20u);
+
+  AgingEvolution net_method(space,
+                            {.population_size = 10, .sample_size = 3,
+                             .seed = 5});
+  const MasterResult got =
+      run_campaign(net_method, oracle, master_options(cluster), 2);
+  expect_matches_sim(got.sim, expected);
+}
+
+TEST(NetTransport, MatchesSimulatorUtilizationBitwiseAt32Nodes) {
+  // The two drivers record busy intervals in different orders; the
+  // utilization sum must not depend on that order.
+  SKIP_WITHOUT_LOOPBACK();
+  const StackedLSTMSpace space;
+  SurrogateEvaluator oracle(space);
+  const ClusterConfig cluster = small_cluster(32, 1);
+
+  AgingEvolution sim_method(space, {.seed = 1});
+  const SimResult expected = simulate_async(sim_method, oracle, cluster);
+
+  AgingEvolution net_method(space, {.seed = 1});
+  const MasterResult got =
+      run_campaign(net_method, oracle, master_options(cluster), 2);
   expect_matches_sim(got.sim, expected);
 }
 

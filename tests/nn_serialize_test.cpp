@@ -1,10 +1,12 @@
 // Weight serialization: binary v2 round trips (incl. non-finite values),
-// text v1 non-finite refusal/diagnostics, file-level format dispatch.
+// corruption and mismatch diagnostics, and file-level loading that refuses
+// anything but the binary format by name.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -92,66 +94,31 @@ TEST(SerializeBinary, DetectsTruncationAndCorruption) {
   EXPECT_THROW(load_weights_binary(other2, cs), std::runtime_error);
 }
 
-TEST(SerializeText, RefusesToSaveNonFiniteNamingParameter) {
+TEST(SerializeBinary, RejectsMismatchedNetwork) {
   GraphNetwork net = small_net();
   net.init_params(25);
-  poison_first_param(net);
-  std::stringstream buffer;
+  std::stringstream buffer(std::ios::in | std::ios::out | std::ios::binary);
+  save_weights_binary(net, buffer);
+
+  GraphNetwork different;
+  different.add_node(std::make_unique<Dense>(1, 1),
+                     {GraphNetwork::input_id()});
   try {
-    save_weights(net, buffer);
-    FAIL() << "text v1 accepted non-finite weights";
+    load_weights_binary(different, buffer);
+    FAIL() << "weights loaded into a network with another parameter list";
   } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("parameter 1"), std::string::npos) << what;
-    EXPECT_NE(what.find("save_weights_binary"), std::string::npos) << what;
+    EXPECT_NE(std::string(e.what()).find("parameter count mismatch"),
+              std::string::npos)
+        << e.what();
   }
-}
-
-TEST(SerializeText, LoadOfNonFiniteTokenNamesParameter) {
-  // A legacy v1 file written before the save-side guard: "nan" tokens in
-  // the value stream must produce a diagnostic naming the parameter, not
-  // a bare stream failure.
-  GraphNetwork net = small_net();
-  net.init_params(26);
-  std::stringstream buffer;
-  save_weights(net, buffer);
-  std::string text = buffer.str();
-  const std::size_t last_space = text.find_last_of(' ');
-  ASSERT_NE(last_space, std::string::npos);
-  text = text.substr(0, last_space + 1) + "nan\n";
-
-  std::istringstream is(text);
-  GraphNetwork other = small_net();
-  try {
-    load_weights(other, is);
-    FAIL() << "text v1 accepted a nan token";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("non-finite"), std::string::npos) << what;
-    EXPECT_NE(what.find("parameter"), std::string::npos) << what;
-  }
-}
-
-TEST(SerializeText, TruncatedAndGarbageValuesAreDiagnosed) {
-  GraphNetwork net = small_net();
-  net.init_params(27);
-  std::stringstream buffer;
-  save_weights(net, buffer);
-  std::string text = buffer.str();
-
-  std::istringstream truncated(text.substr(0, text.size() / 2));
-  GraphNetwork other = small_net();
-  EXPECT_THROW(load_weights(other, truncated), std::runtime_error);
-
-  const std::size_t last_space = text.find_last_of(' ');
-  std::istringstream garbage(text.substr(0, last_space + 1) + "0x!bad\n");
-  GraphNetwork other2 = small_net();
-  EXPECT_THROW(load_weights(other2, garbage), std::runtime_error);
 }
 
 TEST(SerializeFile, AutoDetectsBothFormats) {
-  const std::string bin_path = "/tmp/geonas_serialize_test_v2.bin";
-  const std::string txt_path = "/tmp/geonas_serialize_test_v1.txt";
+  // The binary format loads; a legacy text v1 file (no longer read) and a
+  // garbage file are refused with an error naming the file.
+  const std::string bin_path = ::testing::TempDir() + "/serialize_v2.bin";
+  const std::string txt_path = ::testing::TempDir() + "/serialize_v1.txt";
+  const std::string junk_path = ::testing::TempDir() + "/serialize_junk.bin";
   GraphNetwork net = small_net();
   net.init_params(28);
   Rng rng(29);
@@ -159,20 +126,32 @@ TEST(SerializeFile, AutoDetectsBothFormats) {
   for (std::size_t i = 0; i < x.size(); ++i) x.flat()[i] = rng.normal();
   const Tensor3 expected = net.forward(x, false);
 
-  save_weights_file(net, bin_path);            // binary v2 default
-  save_weights_file(net, txt_path, true);      // legacy text v1
+  save_weights_file(net, bin_path);
+  GraphNetwork other = small_net();
+  other.init_params(999);
+  load_weights_file(other, bin_path);
+  const Tensor3 out = other.forward(x, false);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out.flat()[i]),
+              std::bit_cast<std::uint64_t>(expected.flat()[i]));
+  }
 
-  for (const std::string& path : {bin_path, txt_path}) {
-    GraphNetwork other = small_net();
-    other.init_params(999);
-    load_weights_file(other, path);
-    const Tensor3 out = other.forward(x, false);
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_DOUBLE_EQ(out.flat()[i], expected.flat()[i]) << path;
+  std::ofstream(txt_path) << "geonas-weights-v1\n4\n";
+  std::ofstream(junk_path) << "not-a-weights-file 0";
+  for (const std::string& path : {txt_path, junk_path}) {
+    GraphNetwork target = small_net();
+    try {
+      load_weights_file(target, path);
+      FAIL() << path << " loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
     }
   }
   std::remove(bin_path.c_str());
   std::remove(txt_path.c_str());
+  std::remove(junk_path.c_str());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Losses, optimizers, the trainer loop, and weight serialization.
+// Losses, optimizers and the trainer loop (weight serialization is in
+// nn_serialize_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
-#include <sstream>
 
 #include "gradient_check.hpp"
 #include "hpc/parallel_for.hpp"
@@ -11,7 +11,6 @@
 #include "nn/loss.hpp"
 #include "nn/lstm.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/serialize.hpp"
 #include "nn/trainer.hpp"
 
 namespace geonas::nn {
@@ -258,40 +257,6 @@ TEST(Trainer, EpochLossWeightsPartialFinalBatch) {
   const Tensor3 pred = Trainer::predict(net, x);
   const double whole_set = mse_loss(y, pred);
   EXPECT_NEAR(hist.train_loss[0], whole_set, 1e-9 * whole_set);
-}
-
-TEST(Serialize, RoundTripRestoresOutputs) {
-  GraphNetwork net = tiny_net();
-  net.init_params(13);
-  Rng rng(14);
-  const Tensor3 x = random_tensor(3, 4, 1, rng);
-  const Tensor3 before = net.forward(x, false);
-
-  std::stringstream buffer;
-  save_weights(net, buffer);
-
-  GraphNetwork other = tiny_net();
-  other.init_params(999);  // different weights
-  load_weights(other, buffer);
-  const Tensor3 after = other.forward(x, false);
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_DOUBLE_EQ(before.flat()[i], after.flat()[i]);
-  }
-}
-
-TEST(Serialize, RejectsMismatchedNetwork) {
-  GraphNetwork net = tiny_net();
-  net.init_params(1);
-  std::stringstream buffer;
-  save_weights(net, buffer);
-
-  GraphNetwork different;
-  different.add_node(std::make_unique<Dense>(1, 1),
-                     {GraphNetwork::input_id()});
-  EXPECT_THROW(load_weights(different, buffer), std::runtime_error);
-
-  std::stringstream bad("not-a-weights-file 0");
-  EXPECT_THROW(load_weights(net, bad), std::runtime_error);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 
 #include "core/eval_policy.hpp"
 #include "core/nas_driver.hpp"
-#include "io/binary.hpp"
 #include "core/surrogate.hpp"
 #include "search/aging_evolution.hpp"
 #include "search/ppo.hpp"
@@ -442,48 +441,6 @@ TEST(SearchCheckpoint, KillAndResumeIsBitwiseWithMemoization) {
   EXPECT_EQ(resumed.cache_misses, full.cache_misses);
   // Architectures cached before the kill were not re-trained after it.
   EXPECT_EQ(resumed_inner.calls(), full_inner.calls());
-  std::remove(path.c_str());
-}
-
-TEST(SearchCheckpoint, LoadsVersion1CheckpointsWithoutCache) {
-  // Campaigns checkpointed by the previous release (format v1, no
-  // memoization block) must still resume; cache counters stay zero.
-  const StackedLSTMSpace space;
-  SurrogateEvaluator oracle(space);
-  const std::string path = "/tmp/geonas_ckpt_v1.bin";
-  const std::uint64_t seed = 31;
-
-  RandomSearch source(space, seed);
-  const LocalSearchResult state =
-      run_local_search(source, oracle, 12, seed);
-  {
-    // Hand-written v1 layout: everything up to the failure counter, then
-    // straight to the method state (mirrors the pre-v2 writer).
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(os.good());
-    io::BinaryWriter writer(os, "GEONASC1", 1);
-    writer.str(source.name());
-    writer.u64(seed);
-    writer.u64(state.history.size());
-    for (const LocalEval& eval : state.history) {
-      search::write_architecture(writer, eval.arch);
-      writer.f64(eval.reward);
-      writer.u64(eval.params);
-    }
-    search::write_architecture(writer, state.best);
-    writer.f64(state.best_reward);
-    writer.u64(state.eval_retries);
-    writer.u64(state.eval_failures);
-    source.save(writer);
-    writer.finish();
-  }
-
-  RandomSearch fresh(space, seed);
-  LocalSearchResult loaded;
-  ASSERT_EQ(load_search_checkpoint(fresh, loaded, seed, path), 12u);
-  EXPECT_EQ(loaded.best.key(), state.best.key());
-  EXPECT_EQ(loaded.cache_hits, 0u);
-  EXPECT_EQ(loaded.cache_misses, 0u);
   std::remove(path.c_str());
 }
 

@@ -150,14 +150,15 @@ else
   # geonas_tensor. The golden-hash and cross-tier bitwise suites whose
   # kernels are built with -ffp-contract=off (the Jacobi solver under
   # POD, the blocked GEMM, the Rng draws behind the SST wave bank) must
-  # keep their bits there. Not in the filter yet:
+  # keep their bits there, and so must the simulated campaigns' golden
+  # trajectory digests (ClusterSimGolden). Not in the filter yet:
   # VmathGru.BackwardStagesMatchReferenceLoop fails under -march=native,
   # because GCC contracts multiply-adds in the vmath code it pins.
   # -ffp-contract=off on the whole library mends it, but it also
   # changes the default build's campaign_train trajectory (the AVX2+FMA
   # vmath kernels are contracted today), so that waits for per-function
   # fixes (ROADMAP item 2(b)).
-  run_flavor native '(^|/)(Eigen|POD|PodSweep|BlockedGemm|SST)'
+  run_flavor native '(^|/)(Eigen|POD|PodSweep|BlockedGemm|SST|ClusterSimGolden)'
   run_analyze
 
   step "configure+build [release] (clang-tidy compilation database)"
